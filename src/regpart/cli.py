@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .driver import (
-    RunConfig,
-    STATUS_BUDGET,
-    STATUS_HEURISTICALLY_REGULAR,
-    STATUS_REGULAR,
-    balanced_irregularity_bound,
-    regularize,
-)
+from .driver import RunConfig, STATUS_BUDGET, balanced_irregularity_bound, regularize
 from .errors import BadParamsError, RegPartError
 from .generate import gnp, planted
 from .graph import energy, require_epsilon
@@ -44,8 +37,8 @@ from .regularity import (
 )
 
 _REGULARIZE_EXIT = {
-    STATUS_REGULAR: 0,
-    STATUS_HEURISTICALLY_REGULAR: 2,
+    VERDICT_REGULAR: 0,
+    VERDICT_HEURISTICALLY_REGULAR: 2,
     STATUS_BUDGET: 3,
 }
 
@@ -102,7 +95,6 @@ def cmd_regularize(args):
         strategy=args.strategy,
         exhaustive_cutoff=args.cutoff,
         max_classes=args.max_classes,
-        seed=args.seed,
     )
     trace = regularize(g, p0, eps, config)
     if args.out:
@@ -124,7 +116,11 @@ def cmd_regularize(args):
             "refine_count": trace.refine_count,
             "steps": len(trace.steps),
             "num_classes": len(trace.final),
-            "energy": str(energy(g, trace.final)),
+            # The last step recorded the final partition's energy; a run
+            # stopped by the budget before its first check recorded none.
+            "energy": str(
+                trace.steps[-1].energy if trace.steps else energy(g, trace.final)
+            ),
             "final": [list(c.members()) for c in trace.final],
         }
     )
@@ -192,7 +188,6 @@ def build_parser():
         reg.add_argument(flag, **kw)
     reg.add_argument("--partition", help="initial partition file (default: one class)")
     reg.add_argument("--max-classes", type=int, default=4096)
-    reg.add_argument("--seed", type=int, default=0, help="reserved for sampling strategies")
     reg.add_argument("--trace", help="trace file (.json for JSON, else CSV)")
     reg.add_argument("--out", help="file for the final partition")
     reg.set_defaults(func=cmd_regularize)

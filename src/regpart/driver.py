@@ -19,16 +19,11 @@ from .errors import (
     UnequalSizesError,
 )
 from .graph import Partition, energy, require_epsilon
-from .refine import balance_refine, is_balanced, irregularity_refine, witnessed_mass
-from .regularity import (
-    DEFAULT_EXHAUSTIVE_CUTOFF,
-    VERDICT_IRREGULAR,
-    VERDICT_REGULAR,
-    check_partition,
-)
+from .refine import balance_refine, is_balanced, irregularity_refine
+from .regularity import DEFAULT_EXHAUSTIVE_CUTOFF, VERDICT_IRREGULAR, check_partition
 
-STATUS_REGULAR = "regular"
-STATUS_HEURISTICALLY_REGULAR = "heuristically_regular"
+# A finished run's status is the final verdict (regular or
+# heuristically_regular), or this marker when the class budget stopped it.
 STATUS_BUDGET = "class_budget_exceeded"
 
 PHASE_BALANCE = "balance"
@@ -40,9 +35,6 @@ class RunConfig:
     strategy: str = "auto"
     exhaustive_cutoff: int = DEFAULT_EXHAUSTIVE_CUTOFF
     max_classes: int = 4096
-    # Reserved for strategies that sample; the shipped pipeline is fully
-    # deterministic and never draws from it.
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,15 +66,31 @@ class RunTrace:
     # without re-running it.
     final_report: object = None
 
-    def energies(self):
-        return [step.energy for step in self.steps]
+
+def _trace_step(phase, p, e, report):
+    """Record a phase on partition p of energy e; masses and verdict from report."""
+    return TraceStep(
+        phase=phase,
+        num_classes=len(p),
+        energy=e,
+        irregular_mass=report.irregular_mass,
+        witnessed_mass=report.irregular_mass,
+        verdict=report.verdict,
+    )
 
 
 def verify_trace(trace, eps, n):
-    """Re-check every trace invariant after the fact; raises AssertionError."""
+    """Re-check every trace invariant after the fact; raises AssertionError.
+
+    Energy never falls. Each refine step follows the balance step that
+    classified the partition it refined, so the energy difference between
+    the two is that refinement's gain: it must exceed eps**4 times the
+    witnessed mass, and eps**5 * n**2 when that mass exceeds eps * n**2.
+    """
     eps = require_epsilon(eps)
     n_sq = n * n
     threshold = eps * n_sq
+    eps4 = eps**4
     gain_floor = eps**5 * n_sq
     prev = None
     refine_rows = 0
@@ -93,9 +101,14 @@ def verify_trace(trace, eps, n):
             assert step.energy >= prev.energy
         if step.phase == PHASE_REFINE:
             refine_rows += 1
-            assert prev is not None, "a refine step cannot come first"
+            assert prev is not None and prev.phase == PHASE_BALANCE, (
+                "a refine step must follow a balance step"
+            )
+            gain = step.energy - prev.energy
+            if step.witnessed_mass:
+                assert gain > eps4 * step.witnessed_mass
             if step.witnessed_mass > threshold:
-                assert step.energy - prev.energy > gain_floor
+                assert gain > gain_floor
             else:
                 all_heavy = False
         prev = step
@@ -131,51 +144,30 @@ def regularize(g, p0, eps, config=None):
         trace.status = STATUS_BUDGET
         return trace
 
+    e = None  # energy of p, evaluated once each time p changes
     while True:
         if not is_balanced(p, eps).balanced:
             q = balance_refine(p, eps)
             if len(q) > config.max_classes:
                 trace.status = STATUS_BUDGET
                 break
-            p = q
+            p, e = q, None
         report = check_partition(
             g, p, eps, strategy=config.strategy, cutoff=config.exhaustive_cutoff
         )
-        trace.steps.append(
-            TraceStep(
-                phase=PHASE_BALANCE,
-                num_classes=len(p),
-                energy=energy(g, p),
-                irregular_mass=report.irregular_mass,
-                witnessed_mass=report.irregular_mass,
-                verdict=report.verdict,
-            )
-        )
+        if e is None:
+            e = energy(g, p)
+        trace.steps.append(_trace_step(PHASE_BALANCE, p, e, report))
         if report.verdict != VERDICT_IRREGULAR:
-            trace.status = (
-                STATUS_REGULAR
-                if report.verdict == VERDICT_REGULAR
-                else STATUS_HEURISTICALLY_REGULAR
-            )
+            trace.status = report.verdict
             break
-        witnesses = report.witnesses()
-        mass = witnessed_mass(p, witnesses)
-        q = irregularity_refine(g, p, eps, witnesses)
+        q = irregularity_refine(g, p, eps, report.witnesses())
         if len(q) > config.max_classes:
             trace.status = STATUS_BUDGET
             break
-        p = q
+        p, e = q, energy(g, q)
         trace.refine_count += 1
-        trace.steps.append(
-            TraceStep(
-                phase=PHASE_REFINE,
-                num_classes=len(p),
-                energy=energy(g, p),
-                irregular_mass=report.irregular_mass,
-                witnessed_mass=mass,
-                verdict=report.verdict,
-            )
-        )
+        trace.steps.append(_trace_step(PHASE_REFINE, p, e, report))
         report = None  # describes the pre-refine partition, now stale
 
     trace.final = p

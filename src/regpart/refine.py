@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError
-from .graph import Partition, VertexSet, energy, require_epsilon
+# energy is not called here; the name stays bound because bench/tests checks
+# that span tracing rebinds this module's copy.
+from .graph import Partition, VertexSet, energy, require_epsilon  # noqa: F401
 from .regularity import validate_witness
 
 
@@ -137,13 +139,16 @@ def irregularity_refine(g, p, eps, witnesses):
 
     witnesses maps ordered class-index pairs (a, b) to a PairWitness whose x
     lives in class a and y in class b. Every witness is revalidated from
-    scratch before anything is split. Each class is replaced by the atoms of
-    the witness sets that landed in it, so the result refines p with at most
+    scratch, and its increment checked to exceed eps**4 * |I||J|, before
+    anything is split. Each class is replaced by the atoms of the witness
+    sets that landed in it, so the result refines p with at most
     |p| * 4**|p| classes, and the energy rises by more than
 
         eps**4 * (witnessed mass),
 
     which exceeds eps**5 * n**2 whenever the witnessed mass exceeds eps*n**2.
+    This function evaluates no energy: regularize records the energy of p and
+    of the result, and verify_trace checks both bounds on the gain.
     """
     eps = require_epsilon(eps)
     if p.ground_size != g.n:
@@ -176,13 +181,4 @@ def irregularity_refine(g, p, eps, witnesses):
                 if piece.issubset(x):
                     covered |= piece.mask
             assert covered == x.mask  # witness sets are unions of new classes
-
-    mass = witnessed_mass(p, witnesses)
-    gain = energy(g, q) - energy(g, p)
-    assert gain >= 0
-    if witnesses:
-        assert gain > eps4 * mass
-    n = g.n
-    if mass > eps * n * n:
-        assert gain > eps**5 * n * n
     return q

@@ -265,8 +265,6 @@ def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF
     a fixed strategy.
     """
     eps = require_epsilon(eps)
-    if strategy not in ("exhaustive", "heuristic", "auto"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     k = len(p)

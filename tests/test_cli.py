@@ -1,5 +1,7 @@
 import json
+import sys
 
+import regpart.graph
 from regpart.cli import main
 
 
@@ -212,3 +214,24 @@ def test_unknown_strategy_rejected(tmp_path, capsys):
         assert exc.code == 2
     else:
         raise AssertionError("argparse should reject unknown strategies")
+
+
+def test_regularize_evaluates_energy_once_per_partition(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.txt"
+    code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", 12, "--p", "1/2", "--seed", 2, "--out", graph)
+    assert code == 0
+    original = regpart.graph.energy
+    seen = []
+
+    def counted(g, p):
+        seen.append(p)
+        return original(g, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "regpart" and getattr(module, "energy", None) is original:
+            monkeypatch.setattr(module, "energy", counted)
+    code, out, _ = run(capsys, "regularize", "--graph", graph, "--epsilon", "1/5")
+    assert code in (0, 2)
+    assert json.loads(out)["refine_count"] >= 2
+    assert seen
+    assert len(seen) == len(set(seen))

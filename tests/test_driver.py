@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -146,6 +147,21 @@ class TestVerifyTrace:
         trace.steps[1], trace.steps[2] = trace.steps[2], trace.steps[1]
         with pytest.raises(AssertionError):
             verify_trace(trace, Fraction(2, 5), 4)
+
+    def test_catches_gain_below_eps4_witnessed_mass(self):
+        # mass 8 > eps*n^2 = 32/5; a forged gain of 9/50 clears
+        # eps^5*n^2 = 512/3125 but not eps^4*mass = 128/625
+        eps = Fraction(2, 5)
+        g = Graph.from_edges(4, [(0, 2)])
+        p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
+        trace = regularize(g, p0, eps)
+        before, refine = trace.steps[0], trace.steps[1]
+        assert refine.witnessed_mass == 8
+        trace.steps[1] = dataclasses.replace(
+            refine, energy=before.energy + Fraction(9, 50)
+        )
+        with pytest.raises(AssertionError):
+            verify_trace(trace, eps, 4)
 
 
 class TestTowerBound:

@@ -187,6 +187,8 @@ class TestClassifyPair:
         g, p = single_edge()
         with pytest.raises(ValueError):
             classify_pair(g, p[0], p[1], 1, strategy="guess")
+        with pytest.raises(ValueError):
+            check_partition(g, p, 1, strategy="guess")
 
 
 class TestCheckPartition:
