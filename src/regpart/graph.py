@@ -1,7 +1,8 @@
 """Immutable graphs, bitset vertex sets, partitions, and exact density/energy.
 
 All quantities that the rest of the library compares against thresholds are
-carried as ``fractions.Fraction``: the regularity conditions are strict
+exact, carried as ``fractions.Fraction`` or, in the pair-check kernels, as
+integer cross-multiplications of them: the regularity conditions are strict
 inequalities, so no floating point is allowed anywhere near a verdict.
 Vertex sets are plain integer bitmasks (bit v = vertex v), which keeps the
 density kernel a handful of ``&`` / ``bit_count`` operations.

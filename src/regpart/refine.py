@@ -169,16 +169,18 @@ def irregularity_refine(g, p, eps, witnesses):
 
     pieces = []
     for idx in range(k):
-        pieces.extend(atom_partition(p[idx], per_class[idx]))
+        atoms = atom_partition(p[idx], per_class[idx])
+        # witness sets are unions of new classes; a piece inside x ⊆ p[idx]
+        # can only be an atom of p[idx], so checking those atoms suffices
+        for x in per_class[idx]:
+            covered = 0
+            for atom in atoms:
+                if atom.issubset(x):
+                    covered |= atom.mask
+            assert covered == x.mask
+        pieces.extend(atoms)
     q = Partition(pieces)
 
     assert q.refines(p)
     assert len(q) <= k * 4**k
-    for idx in range(k):
-        for x in per_class[idx]:
-            covered = 0
-            for piece in q:
-                if piece.issubset(x):
-                    covered |= piece.mask
-            assert covered == x.mask  # witness sets are unions of new classes
     return q

@@ -8,10 +8,9 @@ incomplete heuristic, and an unresolved pair is reported as
 "unknown, treated as regular", never as certified.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     EmptySetError,
@@ -19,7 +18,7 @@ from .errors import (
     InvalidWitnessError,
     TooLargeError,
 )
-from .graph import VertexSet, density, require_epsilon
+from .graph import VertexSet, adjacent_pair_count, density, require_epsilon
 
 DEFAULT_EXHAUSTIVE_CUTOFF = 26
 
@@ -94,19 +93,56 @@ def validate_witness(g, i, j, eps, witness):
 
 def _min_qualifying_size(eps, class_size):
     """Smallest integer s with s > eps * class_size."""
-    return math.floor(eps * class_size) + 1
+    return eps.numerator * class_size // eps.denominator + 1
+
+
+def _band(e_ij, m_ij, eps):
+    """Integers (hi, lo, den) with d(I,J) + eps = hi/den and d(I,J) - eps = lo/den.
+
+    e_ij is the edge count of the pair and m_ij = |I||J|, so comparing a
+    density e/m against either bound is one integer cross-multiplication.
+    """
+    en, ed = eps.numerator, eps.denominator
+    return e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
+
+
+def _first_pick_above(counts, size, bound):
+    """Lexicographically first tuple of `size` indices whose counts sum past bound.
+
+    Greedy completion: each position takes the smallest index whose best
+    completion (itself plus the largest counts after it) still exceeds the
+    bound. The caller guarantees that the top `size` counts exceed it, so a
+    completion always exists; the indices tried only ever increase.
+    """
+    pick = []
+    start = 0
+    for left in range(size, 0, -1):
+        for idx in range(start, len(counts) - left + 1):
+            rest = sorted(counts[idx + 1 :], reverse=True)[: left - 1]
+            if counts[idx] + sum(rest) > bound:
+                pick.append(idx)
+                bound -= counts[idx]
+                start = idx + 1
+                break
+    return tuple(pick)
 
 
 def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
-    """Decide pair regularity by complete subset enumeration.
+    """Decide pair regularity by complete subset enumeration, in integers.
 
-    Enumerates candidate X (then Y) by size descending, lexicographic within a
-    size, and returns the first violating sub-pair found. For a fixed X the
-    density of (X, Y) is additive over the members of Y, so for each Y-size the
-    extreme densities are prefix sums of the sorted per-vertex counts; whole
-    Y-size classes that provably contain no violation are skipped without
-    changing which witness is found first. Returns RegularCertified only after
-    the entire space is exhausted.
+    Enumerates candidate X by size descending, lexicographic within a size,
+    then Y-sizes descending, and returns the first violating sub-pair (X, Y),
+    Y lexicographically first among its size. With eps = en/ed and e_ij the
+    edge count of the pair, the bounds d(I,J) +- eps scaled by |X||Y| are
+    precomputed per size pair as integers: top = floor(hi |X||Y|) and
+    bottom = ceil(lo |X||Y|). Edge counts are integers, so e(X,Y) violates
+    exactly when e > top or e < bottom. For a fixed X, e(X,Y) is additive over
+    the members of Y, so the extreme counts of each Y-size are prefix sums of
+    the sorted per-vertex counts and decide whether any Y of that size
+    violates; the first violating Y is then built by greedy completion
+    instead of enumeration. No Fraction is formed until a witness is
+    returned. Returns RegularCertified only after the entire space of X is
+    exhausted.
     """
     eps = require_epsilon(eps)
     if i.size == 0 or j.size == 0:
@@ -115,46 +151,53 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
         raise TooLargeError(
             f"|i| + |j| = {i.size + j.size} exceeds exhaustive cutoff {cutoff}"
         )
-    d_ij = density(g, i, j)
+    e_ij = adjacent_pair_count(g, i, j)
     lo_x = _min_qualifying_size(eps, i.size)
     lo_y = _min_qualifying_size(eps, j.size)
     if lo_x > i.size or lo_y > j.size:
         return _REGULAR  # no qualifying sub-pair exists
 
-    members_i = i.members()
+    m_ij = i.size * j.size
+    hi, lo, den = _band(e_ij, m_ij, eps)
+    bits_i = [1 << u for u in i.members()]
     members_j = j.members()
-    rows = g.rows
-    hi = d_ij + eps
-    lo = d_ij - eps
+    cols = [g.rows[v] & i.mask for v in members_j]
+    total = len(cols)
 
     for sx in range(i.size, lo_x - 1, -1):
-        for xs in combinations(members_i, sx):
-            x_mask = 0
-            for u in xs:
-                x_mask |= 1 << u
-            counts = [(rows[v] & x_mask).bit_count() for v in members_j]
-            prefix = [0]
-            for c in sorted(counts):
-                prefix.append(prefix[-1] + c)
-            total = len(counts)
-            for sy in range(j.size, lo_y - 1, -1):
-                denom = sx * sy
-                max_e = prefix[total] - prefix[total - sy]
-                min_e = prefix[sy]
-                if not (Fraction(max_e, denom) > hi or Fraction(min_e, denom) < lo):
+        bounds = [
+            (sy, hi * sx * sy // den, -(-lo * sx * sy // den))
+            for sy in range(j.size, lo_y - 1, -1)
+        ]
+        for xs in combinations(bits_i, sx):
+            x_mask = sum(xs)
+            counts = [(col & x_mask).bit_count() for col in cols]
+            prefix = list(accumulate(sorted(counts), initial=0))
+            e_x = prefix[total]
+            for sy, top, bottom in bounds:
+                above = e_x - prefix[total - sy] > top
+                below = prefix[sy] < bottom
+                if not (above or below):
                     continue  # no Y of this size can violate
-                for pick in combinations(range(total), sy):
-                    e = sum(counts[idx] for idx in pick)
-                    d_xy = Fraction(e, denom)
-                    if d_xy > hi or d_xy < lo:
-                        y = VertexSet.from_iterable(
-                            (members_j[idx] for idx in pick), g.n
-                        )
-                        x = VertexSet(x_mask, g.n)
-                        return PairClassification(
-                            IRREGULAR_WITNESSED,
-                            PairWitness(x=x, y=y, d_xy=d_xy, d_ij=d_ij),
-                        )
+                # the lexicographically first violator is the earlier of the
+                # first one above top and the first one below bottom
+                picks = []
+                if above:
+                    picks.append(_first_pick_above(counts, sy, top))
+                if below:
+                    picks.append(_first_pick_above([-c for c in counts], sy, -bottom))
+                pick = min(picks)
+                y = VertexSet.from_iterable((members_j[idx] for idx in pick), g.n)
+                d_xy = Fraction(sum(counts[idx] for idx in pick), sx * sy)
+                return PairClassification(
+                    IRREGULAR_WITNESSED,
+                    PairWitness(
+                        x=VertexSet(x_mask, g.n),
+                        y=y,
+                        d_xy=d_xy,
+                        d_ij=Fraction(e_ij, m_ij),
+                    ),
+                )
     return _REGULAR
 
 
@@ -171,19 +214,21 @@ def find_witness_heuristic(g, i, j, eps):
     eps = require_epsilon(eps)
     if i.size == 0 or j.size == 0:
         raise EmptySetError("cannot classify a pair with an empty side")
-    d_ij = density(g, i, j)
-    half = eps / 2
-    hi = d_ij + half
-    lo = d_ij - half
+    e_ij = adjacent_pair_count(g, i, j)
+    m_ij = i.size * j.size
+    d_ij = Fraction(e_ij, m_ij)
+    hi, lo, den = _band(e_ij, m_ij, eps / 2)
 
+    # count/size > hi/den, cross-multiplied: exact, and no Fraction per vertex
     x_hi = 0
     x_lo = 0
     jm = j.mask
+    hi_j, lo_j = hi * j.size, lo * j.size
     for u in i.members():
-        d_u = Fraction((g.rows[u] & jm).bit_count(), j.size)
-        if d_u > hi:
+        c_u = (g.rows[u] & jm).bit_count() * den
+        if c_u > hi_j:
             x_hi |= 1 << u
-        elif d_u < lo:
+        elif c_u < lo_j:
             x_lo |= 1 << u
 
     candidates = []
@@ -191,10 +236,11 @@ def find_witness_heuristic(g, i, j, eps):
         if not x_mask:
             continue
         x = VertexSet(x_mask, g.n)
+        hi_x, lo_x = hi * x.size, lo * x.size
         co = 0
         for v in j.members():
-            d_v = Fraction((g.rows[v] & x_mask).bit_count(), x.size)
-            if (keep_high and d_v > hi) or (not keep_high and d_v < lo):
+            c_v = (g.rows[v] & x_mask).bit_count() * den
+            if (keep_high and c_v > hi_x) or (not keep_high and c_v < lo_x):
                 co |= 1 << v
         if co:
             candidates.append((x, VertexSet(co, g.n)))

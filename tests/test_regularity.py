@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition
 from regpart import (
@@ -134,6 +137,85 @@ class TestCheckPairExhaustive:
                         validate_witness(g, p[a], p[b], eps, clf.witness)
                         found += 1
         assert found > 0
+
+
+def reference_exhaustive(g, i, j, eps):
+    """The plain enumeration the fast kernel must reproduce witness for witness.
+
+    X by size descending, lexicographic within a size; for each X, Y the same
+    way; every sub-pair compared with Fractions. Returns (kind,) or
+    (kind, x, y, d_xy, d_ij).
+    """
+    d_ij = density(g, i, j)
+    mi, mj = i.members(), j.members()
+    ys_by_size = [
+        [VertexSet.from_iterable(ys, g.n) for ys in combinations(mj, sy)]
+        for sy in range(len(mj), 0, -1)
+        if sy > eps * len(mj)
+    ]
+    for sx in range(len(mi), 0, -1):
+        if not sx > eps * len(mi):
+            break
+        for xs in combinations(mi, sx):
+            x = VertexSet.from_iterable(xs, g.n)
+            for ys in ys_by_size:
+                for y in ys:
+                    d_xy = density(g, x, y)
+                    if abs(d_xy - d_ij) > eps:
+                        return (IRREGULAR_WITNESSED, x, y, d_xy, d_ij)
+    return (REGULAR_CERTIFIED,)
+
+
+def classification_key(clf):
+    w = clf.witness
+    return (clf.kind,) if w is None else (clf.kind, w.x, w.y, w.d_xy, w.d_ij)
+
+
+@st.composite
+def class_pairs(draw):
+    """A graph with a disjoint or diagonal class pair, sides of 1 to 8."""
+    a = draw(st.integers(1, 8))
+    diagonal = draw(st.booleans())
+    b = 0 if diagonal else draw(st.integers(1, 8))
+    n = a + b
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    adjacent = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
+    i = VertexSet.from_iterable(order[:a], n)
+    j = i if diagonal else VertexSet.from_iterable(order[a:], n)
+    return g, i, j
+
+
+class TestExhaustiveMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        class_pairs(),
+        st.sampled_from(
+            [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        ),
+    )
+    def test_same_kind_and_witness(self, pair, eps):
+        g, i, j = pair
+        clf = check_pair_exhaustive(g, i, j, eps)
+        assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
+
+    def test_lex_first_y_is_not_the_top_counts(self):
+        # X = I = {0, 1}; counts into J: 2->2, 3->0, 4->2, 5->0, 6->1.
+        # Sizes 5 and 4 cannot violate at eps = 1/8; at size 3 the first
+        # violating Y in lexicographic order is {2, 3, 4} (4 edges > 3.75),
+        # not the top three by count {2, 4, 6}, and it precedes the first
+        # low-side violator {2, 3, 5}.
+        g = Graph.from_edges(7, [(0, 2), (0, 4), (1, 2), (1, 4), (1, 6)])
+        i = VertexSet.from_iterable([0, 1], 7)
+        j = VertexSet.from_iterable(range(2, 7), 7)
+        eps = Fraction(1, 8)
+        clf = check_pair_exhaustive(g, i, j, eps)
+        assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
+        w = clf.witness
+        assert w.x.members() == (0, 1)
+        assert w.y.members() == (2, 3, 4)
+        assert (w.d_xy, w.d_ij) == (Fraction(2, 3), Fraction(1, 2))
 
 
 class TestHeuristic:
