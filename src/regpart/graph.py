@@ -153,8 +153,37 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self.members()))}}}, n={self.capacity})"
 
 
+def _check_symmetric(rows):
+    """Raise at the first pair u < v, in row-major order, with A[u][v] != A[v][u].
+
+    Works on 64-column blocks: each row's bits a..a+63 are formatted as a
+    bit string (index j = bit a+j), ``zip`` transposes the block, and column
+    a+j must equal row a+j's own bit string. String formatting, transposing
+    and comparing all run in C, and the extra memory is about 64 bytes per
+    vertex, not n^2 bits.
+    """
+    n = len(rows)
+    row_fmt = f"0{n}b"
+    for a in range(0, n, 64):
+        block = [format(r >> a & 0xFFFFFFFFFFFFFFFF, "064b")[::-1] for r in rows]
+        for u, column in zip(range(a, min(a + 64, n)), zip(*block)):
+            if "".join(column) != format(rows[u], row_fmt)[::-1]:
+                # u is the smallest vertex in any asymmetric pair, so every
+                # mismatch in its row lies at some v > u.
+                v = next(
+                    v for v in range(u + 1, n)
+                    if (rows[u] >> v) & 1 != (rows[v] >> u) & 1
+                )
+                raise BadParamsError(f"adjacency not symmetric at ({u}, {v})")
+
+
 class Graph:
-    """Simple undirected graph on vertices 0..n-1; adjacency as row bitmasks."""
+    """Simple undirected graph on vertices 0..n-1; adjacency as row bitmasks.
+
+    The constructor rejects bits outside 0..n-1, loops and asymmetric rows;
+    the symmetry check compares 64-column blocks of the matrix with their
+    transposes (see ``_check_symmetric``).
+    """
 
     __slots__ = ("n", "rows", "edge_count")
 
@@ -169,10 +198,7 @@ class Graph:
                 raise BadParamsError(f"adjacency row {u} has bits outside 0..{n - 1}")
             if (row >> u) & 1:
                 raise BadParamsError(f"loop at vertex {u}")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (rows[u] >> v) & 1 != (rows[v] >> u) & 1:
-                    raise BadParamsError(f"adjacency not symmetric at ({u}, {v})")
+        _check_symmetric(rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
@@ -211,12 +237,10 @@ class Graph:
         """Unordered edges (u, v) with u < v, ascending."""
         for u in range(self.n):
             m = self.rows[u] >> (u + 1)
-            v = u + 1
             while m:
-                if m & 1:
-                    yield (u, v)
-                m >>= 1
-                v += 1
+                low = m & -m
+                yield (u, u + low.bit_length())
+                m ^= low
 
     def vertex_set(self):
         return VertexSet.full(self.n)

@@ -13,59 +13,97 @@ from .errors import FormatError
 from .graph import Graph, Partition, VertexSet
 
 
+# Edges with an endpoint at or above this, or at or above an explicit n, set
+# no bits while the file parses: they are kept as (u, v) -> line, so a
+# hostile vertex id allocates no huge row before a later line fault or the
+# range check can reject the file.
+_DEFERRED_VERTEX = 1 << 20
+
+
 def load_edge_list(path, n=None):
     """Read a "u v" per-line edge file.
 
     Loops and repeated pairs (in either orientation) are rejected with the
     line number. Without an explicit n the vertex count is inferred as
     max endpoint + 1, which makes an empty file ambiguous: pass n for graphs
-    that may have no edges or trailing isolated vertices.
+    that may have no edges or trailing isolated vertices. Vertices outside
+    0..n-1 are reported only after the whole file has parsed, so a malformed
+    line anywhere wins over them.
+
+    The file is read once, setting bits of one row bitmask per vertex as it
+    goes. A repeated edge is found by testing its bit, and only then are the
+    earlier lines scanned again to name the first copy.
     """
-    edges = []
-    seen = {}
+    limit = _DEFERRED_VERTEX if n is None else min(n, _DEFERRED_VERTEX)
+    rows = {}
+    deferred = {}
+    get = rows.get
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise FormatError(
-                    f"expected 'u v', got {text!r}", path=path, line=lineno
-                )
             try:
-                u, v = int(parts[0]), int(parts[1])
+                a, b = raw.split()
+                u, v = int(a), int(b)
             except ValueError:
+                text = raw.strip()
+                if not text:
+                    continue
+                if len(text.split()) != 2:
+                    raise FormatError(
+                        f"expected 'u v', got {text!r}", path=path, line=lineno
+                    ) from None
                 raise FormatError(
                     f"non-integer vertex in {text!r}", path=path, line=lineno
                 ) from None
             if u < 0 or v < 0:
                 raise FormatError(
-                    f"negative vertex in {text!r}", path=path, line=lineno
+                    f"negative vertex in {raw.strip()!r}", path=path, line=lineno
                 )
             if u == v:
                 raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise FormatError(
-                    f"duplicate edge {u} {v} (first on line {seen[key]})",
-                    path=path,
-                    line=lineno,
-                )
-            seen[key] = lineno
-            edges.append((u, v, lineno))
+            if u < limit and v < limit:
+                row = get(u, 0)
+                if not row >> v & 1:
+                    rows[u] = row | 1 << v
+                    rows[v] = get(v, 0) | 1 << u
+                    continue
+                first = _first_line_of(path, u, v)
+            else:
+                first = deferred.setdefault((u, v) if u < v else (v, u), lineno)
+                if first == lineno:
+                    continue
+            raise FormatError(
+                f"duplicate edge {u} {v} (first on line {first})",
+                path=path,
+                line=lineno,
+            )
     if n is None:
-        if not edges:
+        if not rows and not deferred:
             raise FormatError(
                 "empty edge list needs an explicit vertex count", path=path
             )
-        n = max(max(u, v) for u, v, _ in edges) + 1
-    for u, v, lineno in edges:
-        if u >= n or v >= n:
+        n = max([*rows, *(v for _, v in deferred)]) + 1
+    for (u, v), lineno in deferred.items():
+        if v >= n:
             raise FormatError(
                 f"vertex out of range for n={n}", path=path, line=lineno
             )
-    return Graph.from_edges(n, [(u, v) for u, v, _ in edges])
+    table = [0] * n
+    for u, row in rows.items():
+        table[u] = row
+    for u, v in deferred:
+        table[u] |= 1 << v
+        table[v] |= 1 << u
+    return Graph(table)
+
+
+def _first_line_of(path, u, v):
+    """Line of the first "u v" or "v u" in a file whose earlier lines parsed."""
+    key = {u, v}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if parts and set(map(int, parts)) == key:
+                return lineno
 
 
 def dump_edge_list(g, path):

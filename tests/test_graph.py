@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition, random_refinement
@@ -138,6 +138,61 @@ class TestGraph:
     def test_complete_and_empty(self):
         assert Graph.complete(4).edge_count == 6
         assert Graph.empty(5).edge_count == 0
+
+    def test_asymmetric_pair_in_second_block(self):
+        rows = list(Graph.complete(70).rows)
+        rows[65] ^= 1 << 68
+        with pytest.raises(BadParamsError, match=r"not symmetric at \(65, 68\)$"):
+            Graph(rows)
+
+
+def first_asymmetric_pair(rows):
+    """The plain double loop: first (u, v), u < v, with A[u][v] != A[v][u]."""
+    n = len(rows)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v) & 1 != (rows[v] >> u) & 1:
+                return (u, v)
+    return None
+
+
+class TestSymmetryCheck:
+    """The blocked symmetry check in Graph agrees with the plain double loop.
+
+    n runs past 64 so that pairs straddle the first 64-column block edge.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_double_loop(self, data):
+        n = data.draw(st.integers(1, 70), label="n")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        rows = list(random_graph(random.Random(seed), n).rows)
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3,
+            ),
+            label="flips",
+        )
+        for u, v in flips:
+            if u != v:
+                rows[u] ^= 1 << v
+        expected = first_asymmetric_pair(rows)
+        if expected is None:
+            g = Graph(rows)
+            assert list(g.edges()) == [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if (rows[u] >> v) & 1
+            ]
+        else:
+            with pytest.raises(BadParamsError) as info:
+                Graph(rows)
+            assert str(info.value) == (
+                f"adjacency not symmetric at ({expected[0]}, {expected[1]})"
+            )
 
 
 class TestPartition:

@@ -1,6 +1,10 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpart import FormatError, Graph, Partition, check_partition, regularize
 from regpart.io import (
@@ -70,6 +74,154 @@ class TestEdgeList:
         path.write_text("0 9\n")
         with pytest.raises(FormatError, match="out of range"):
             load_edge_list(path, n=4)
+
+    def test_duplicate_names_reversed_first_copy(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1 0\n2 3\n\n0 1\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert info.value.line == 4
+        assert str(info.value).endswith("duplicate edge 0 1 (first on line 1)")
+
+    def test_junk_line_wins_over_earlier_out_of_range(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 9\n1 2\nx y\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path, n=4)
+        assert info.value.line == 3
+        assert "non-integer vertex" in str(info.value)
+
+    def test_far_vertex_builds_no_row_before_rejection(self, tmp_path):
+        path = tmp_path / "g.txt"
+        far = 10**30
+        path.write_text(f"0 1\n0 {far}\n")
+        with pytest.raises(FormatError, match="line 2: vertex out of range for n=4"):
+            load_edge_list(path, n=4)
+        path.write_text(f"0 {far}\n{far} 0\n")
+        with pytest.raises(FormatError, match="line 2: duplicate.*first on line 1"):
+            load_edge_list(path, n=4)
+        path.write_text(f"0 {far}\nx y\n")
+        with pytest.raises(FormatError, match="line 2: non-integer"):
+            load_edge_list(path)
+
+
+def reference_load_rows(path, n=None):
+    """Line-by-line loader that keeps a `seen` dict of edges: rows, or raises."""
+    edges = []
+    seen = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if not text:
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise FormatError(
+                    f"expected 'u v', got {text!r}", path=path, line=lineno
+                )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(
+                    f"non-integer vertex in {text!r}", path=path, line=lineno
+                ) from None
+            if u < 0 or v < 0:
+                raise FormatError(
+                    f"negative vertex in {text!r}", path=path, line=lineno
+                )
+            if u == v:
+                raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise FormatError(
+                    f"duplicate edge {u} {v} (first on line {seen[key]})",
+                    path=path,
+                    line=lineno,
+                )
+            seen[key] = lineno
+            edges.append((u, v, lineno))
+    if n is None:
+        if not edges:
+            raise FormatError(
+                "empty edge list needs an explicit vertex count", path=path
+            )
+        n = max(max(u, v) for u, v, _ in edges) + 1
+    rows = [0] * n
+    for u, v, lineno in edges:
+        if u >= n or v >= n:
+            raise FormatError(
+                f"vertex out of range for n={n}", path=path, line=lineno
+            )
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def load_outcome(load, path, n):
+    try:
+        return ("rows", load(path, n))
+    except FormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+# Lines that are not a plain valid edge, in the spellings the loader must
+# treat exactly as int() and str.split() do.
+ODD_LINES = (
+    "a b", "1 2 3", "7", "+2 3", "1_0 4", "-1 3", "3 -0", "  ", "0x1 2",
+    "\t2\t5 ", "1.0 2", "2000000 3", "3 2000000",
+)
+
+
+VERTEX_NAMES = frozenset(str(v) for v in range(14))
+
+
+@st.composite
+def edge_files(draw):
+    """An edge file's text and an explicit n or None.
+
+    Most lines are edges among 0..13, repeated lines come back in either
+    orientation, and some lines are odd. Half of the files keep only first
+    copies of proper edges, so most of those load. n=None is only drawn
+    without a far vertex (2000000), which would build a 2M-vertex graph.
+    """
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["repeat", "odd"]))
+        if kind == "edge":
+            u, v = draw(st.integers(0, 13)), draw(st.integers(0, 13))
+            lines.append(f"{u} {v}")
+        elif kind == "repeat" and lines:
+            parts = draw(st.sampled_from(lines)).split()
+            lines.append(" ".join(parts[::-1] if draw(st.booleans()) else parts))
+        else:
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+    if draw(st.booleans()):
+        seen = set()
+        clean = []
+        for line in lines:
+            ends = frozenset(line.split())
+            if len(ends) == 2 and ends <= VERTEX_NAMES and ends not in seen:
+                seen.add(ends)
+                clean.append(line)
+        lines = clean
+    far = any("2000000" in line for line in lines)
+    n = draw(st.sampled_from([5, 14] if far else [None, None, 5, 10, 14, 20]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, n
+
+
+class TestEdgeListMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_files())
+    def test_same_rows_or_same_error(self, case):
+        text, n = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_bytes(text.encode())
+            expected = load_outcome(reference_load_rows, path, n)
+            got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
+        assert got == expected
 
 
 class TestPartitionFile:
