@@ -3,8 +3,11 @@
 A pair (I, J) is epsilon-regular when every sub-pair (X, Y) with |X| > eps|I|
 and |Y| > eps|J| has |d(X,Y) - d(I,J)| <= eps. Irregularity is certified by a
 witness (X, Y) violating that bound; regularity of a pair is certified only by
-exhausting the search space. Pairs too large to exhaust go through a sound but
-incomplete heuristic, and an unresolved pair is reported as
+exhausting the search space. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
+for any pair of singletons, no sub-pair but (I, J) itself can qualify: the
+space holds at most that one candidate, whose gap is 0, and the pair is
+certified without reading the graph. Pairs too large to exhaust go through a
+sound but incomplete heuristic, and an unresolved pair is reported as
 "unknown, treated as regular", never as certified.
 """
 
@@ -142,7 +145,11 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
     violates; the first violating Y is then built by greedy completion
     instead of enumeration. No Fraction is formed until a witness is
     returned. Returns RegularCertified only after the entire space of X is
-    exhausted.
+    exhausted. Two spaces are exhausted before any edge is counted: an empty
+    one, and the one-candidate space in which eps|I| < |X| forces X = I and
+    eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0. The
+    empty-side and cutoff checks still come first, so an oversized pair
+    raises TooLargeError whatever eps is.
     """
     eps = require_epsilon(eps)
     if i.size == 0 or j.size == 0:
@@ -151,12 +158,16 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
         raise TooLargeError(
             f"|i| + |j| = {i.size + j.size} exceeds exhaustive cutoff {cutoff}"
         )
-    e_ij = adjacent_pair_count(g, i, j)
+    if i.capacity != g.n or j.capacity != g.n:
+        raise ValueError("vertex sets sized for a different graph")
     lo_x = _min_qualifying_size(eps, i.size)
     lo_y = _min_qualifying_size(eps, j.size)
     if lo_x > i.size or lo_y > j.size:
         return _REGULAR  # no qualifying sub-pair exists
+    if lo_x == i.size and lo_y == j.size:
+        return _REGULAR  # (I, J) is the only candidate, and its gap is 0
 
+    e_ij = adjacent_pair_count(g, i, j)
     m_ij = i.size * j.size
     hi, lo, den = _band(e_ij, m_ij, eps)
     bits_i = [1 << u for u in i.members()]

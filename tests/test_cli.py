@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 import regpart.graph
 from regpart.cli import main
 
@@ -235,3 +237,245 @@ def test_regularize_evaluates_energy_once_per_partition(tmp_path, capsys, monkey
     assert json.loads(out)["refine_count"] >= 2
     assert seen
     assert len(seen) == len(set(seen))
+
+
+# Golden outputs, captured from the CLI before the one-candidate certificate
+# and the mass-grouped energy sum went in; every later change must reproduce
+# them byte for byte. The JSON "final" block is shared by stdout and the JSON
+# trace, so it is spelled out once per case.
+GNP40_STDOUT_HEAD = """\
+{
+  "status": "heuristically_regular",
+  "refine_count": 0,
+  "steps": 1,
+  "num_classes": 1,
+  "energy": "9409/25",
+"""
+
+GNP40_TRACE_HEAD = """\
+{
+  "steps": [
+    {
+      "phase": "balance",
+      "num_classes": 1,
+      "energy": "9409/25",
+      "irregular_mass": 0,
+      "witnessed_mass": 0,
+      "verdict": "heuristically_regular"
+    }
+  ],
+  "refine_count": 0,
+  "status": "heuristically_regular",
+"""
+
+GNP40_FINAL = """\
+  "final": [
+    [
+      0,
+      1,
+      2,
+      3,
+      4,
+      5,
+      6,
+      7,
+      8,
+      9,
+      10,
+      11,
+      12,
+      13,
+      14,
+      15,
+      16,
+      17,
+      18,
+      19,
+      20,
+      21,
+      22,
+      23,
+      24,
+      25,
+      26,
+      27,
+      28,
+      29,
+      30,
+      31,
+      32,
+      33,
+      34,
+      35,
+      36,
+      37,
+      38,
+      39
+    ]
+  ]
+}
+"""
+
+GNP40_OUT = """\
+0: 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39
+"""
+
+GNP24_STDOUT_HEAD = """\
+{
+  "status": "regular",
+  "refine_count": 2,
+  "steps": 5,
+  "num_classes": 24,
+  "energy": "260",
+"""
+
+GNP24_FINAL = """\
+  "final": [
+    [
+      0
+    ],
+    [
+      1
+    ],
+    [
+      2
+    ],
+    [
+      3
+    ],
+    [
+      4
+    ],
+    [
+      5
+    ],
+    [
+      6
+    ],
+    [
+      7
+    ],
+    [
+      8
+    ],
+    [
+      9
+    ],
+    [
+      10
+    ],
+    [
+      11
+    ],
+    [
+      12
+    ],
+    [
+      13
+    ],
+    [
+      14
+    ],
+    [
+      15
+    ],
+    [
+      16
+    ],
+    [
+      17
+    ],
+    [
+      18
+    ],
+    [
+      19
+    ],
+    [
+      20
+    ],
+    [
+      21
+    ],
+    [
+      22
+    ],
+    [
+      23
+    ]
+  ]
+}
+"""
+
+GNP24_TRACE = """\
+iter,phase,num_classes,energy_num,energy_den,irregular_mass,witnessed_mass,verdict
+0,balance,1,4225,36,576,576,irregular
+1,refine,4,807115,5929,576,576,irregular
+2,balance,13,162,1,452,452,irregular
+3,refine,24,260,1,452,452,irregular
+4,balance,24,260,1,0,0,regular
+"""
+
+GNP24_OUT = """\
+0: 0
+1: 1
+2: 2
+3: 3
+4: 4
+5: 5
+6: 6
+7: 7
+8: 8
+9: 9
+10: 10
+11: 11
+12: 12
+13: 13
+14: 14
+15: 15
+16: 16
+17: 17
+18: 18
+19: 19
+20: 20
+21: 21
+22: 22
+23: 23
+"""
+
+GOLDEN_CASES = {
+    # one class, left heuristically regular: the JSON trace format
+    "gnp40-eps1_5": (
+        ("40", "3", "t.json", 2),
+        GNP40_STDOUT_HEAD + GNP40_FINAL,
+        GNP40_TRACE_HEAD + GNP40_FINAL,
+        GNP40_OUT,
+    ),
+    # two refine rounds down to singletons, classes of mixed sizes on the
+    # way: the CSV trace format, one-candidate pairs and energy sums over
+    # several block masses
+    "gnp24-eps1_5": (
+        ("24", "3", "t.csv", 0),
+        GNP24_STDOUT_HEAD + GNP24_FINAL,
+        GNP24_TRACE,
+        GNP24_OUT,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_cli_output(tmp_path, capsys, case):
+    (n, seed, trace_name, exit_code), stdout, trace, out = GOLDEN_CASES[case]
+    graph = tmp_path / "g.txt"
+    code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", n, "--p", "1/2", "--seed", seed, "--out", graph)
+    assert code == 0
+    trace_path = tmp_path / trace_name
+    out_path = tmp_path / "o.txt"
+    code, got, _ = run(
+        capsys, "regularize", "--graph", graph, "--epsilon", "1/5",
+        "--trace", trace_path, "--out", out_path,
+    )
+    assert code == exit_code
+    assert got == stdout
+    assert trace_path.read_bytes() == trace.encode()
+    assert out_path.read_bytes() == out.encode()

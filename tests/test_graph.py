@@ -229,6 +229,39 @@ class TestPartition:
             assert q.refines(q)
 
 
+def partition_from_labels(labels):
+    classes = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(label, []).append(v)
+    return Partition.from_sets(classes.values(), len(labels))
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions: a coarsening, an unrelated one, or a different n."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["coarsening", "unrelated", "other_n"]))
+    if kind == "coarsening":
+        merge = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+        other = [merge[label] for label in labels]
+    else:
+        size = n if kind == "unrelated" else n + 1
+        other = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    return partition_from_labels(labels), partition_from_labels(other)
+
+
+class TestRefinesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_pairs())
+    def test_matches_pairwise_definition(self, pair):
+        for p, q in (pair, pair[::-1]):
+            expected = p.ground_size == q.ground_size and all(
+                any(c.issubset(big) for big in q.classes) for c in p.classes
+            )
+            assert p.refines(q) == expected
+
+
 class TestDensity:
     def test_single_edge_quarter(self):
         g = Graph.from_edges(4, [(0, 2)])

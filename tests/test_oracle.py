@@ -11,6 +11,7 @@ from regpart import (
     Partition,
     TooLargeError,
     VertexSet,
+    balance_refine,
     check_pair_exhaustive,
     density,
     energy,
@@ -138,13 +139,16 @@ class TestPythagoras:
             g = random_graph(rng, n)
             p = random_partition(rng, n)
             q = random_refinement(rng, p)
+            # many equal-size chunks: energy merges their terms by block mass
+            b = balance_refine(p, Fraction(1, 4))
             a = DenseMatrix.from_graph(g)
             mp = project_partition(a, p)
-            mq = project_partition(a, q)
-            assert inner_product(mp, mq - mp) == 0
-            assert frobenius_sq(mq) == frobenius_sq(mp) + frobenius_sq(mq - mp)
+            for r in (q, b):
+                mr = project_partition(a, r)
+                assert inner_product(mp, mr - mp) == 0
+                assert frobenius_sq(mr) == frobenius_sq(mp) + frobenius_sq(mr - mp)
+                assert frobenius_sq(mr) == energy(g, r)
             assert frobenius_sq(mp) == energy(g, p)
-            assert frobenius_sq(mq) == energy(g, q)
 
 
 class TestBruteForcePairCheck:

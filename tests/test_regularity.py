@@ -122,6 +122,29 @@ class TestCheckPairExhaustive:
         clf = check_pair_exhaustive(g, i, j, Fraction(1, 4), cutoff=28)
         assert clf.kind == REGULAR_CERTIFIED
 
+    def test_one_candidate_pair_needs_no_graph(self):
+        class RowlessGraph:
+            n = 28
+
+            @property
+            def rows(self):
+                raise AssertionError("adjacency read for a one-candidate pair")
+
+        g = RowlessGraph()
+        one, two, three = (VertexSet.from_iterable([v], 28) for v in range(3))
+        # 1+1 (and a diagonal singleton): only X = I, Y = J qualify
+        assert check_pair_exhaustive(g, one, two, Fraction(1, 4)).kind == REGULAR_CERTIFIED
+        assert check_pair_exhaustive(g, one, one, Fraction(1, 4)).kind == REGULAR_CERTIFIED
+        # 2+2 at eps = 1/2: |X| > 1 forces X = I, and likewise Y = J
+        i = VertexSet.from_iterable([0, 1], 28)
+        j = VertexSet.from_iterable([2, 3], 28)
+        assert check_pair_exhaustive(g, i, j, Fraction(1, 2)).kind == REGULAR_CERTIFIED
+        # the cutoff still wins: 14+14 at eps = 99/100 is one candidate too
+        i = VertexSet.from_iterable(range(14), 28)
+        j = VertexSet.from_iterable(range(14, 28), 28)
+        with pytest.raises(TooLargeError):
+            classify_pair(g, i, j, Fraction(99, 100), strategy="exhaustive")
+
     def test_every_witness_validates(self):
         rng = random.Random(23)
         found = 0
