@@ -43,16 +43,16 @@ class TraceStep:
 
     A balance step records the partition that was just certified balanced
     (split applied only when needed) together with the classification verdict
-    and masses found on it. A refine step records the partition produced by
-    the refinement, while its masses and verdict are the ones that drove the
-    refinement, so witnessed_mass says how much mass that step consumed.
+    and irregular mass found on it. A refine step records the partition
+    produced by the refinement, while its mass and verdict are the ones that
+    drove the refinement, so irregular_mass says how much witnessed mass that
+    step consumed.
     """
 
     phase: str
     num_classes: int
     energy: Fraction
     irregular_mass: int
-    witnessed_mass: int
     verdict: str
 
 
@@ -68,15 +68,8 @@ class RunTrace:
 
 
 def _trace_step(phase, p, e, report):
-    """Record a phase on partition p of energy e; masses and verdict from report."""
-    return TraceStep(
-        phase=phase,
-        num_classes=len(p),
-        energy=e,
-        irregular_mass=report.irregular_mass,
-        witnessed_mass=report.irregular_mass,
-        verdict=report.verdict,
-    )
+    """Record a phase on partition p of energy e; mass and verdict from report."""
+    return TraceStep(phase, len(p), e, report.irregular_mass, report.verdict)
 
 
 def verify_trace(trace, eps, n):
@@ -105,9 +98,9 @@ def verify_trace(trace, eps, n):
                 "a refine step must follow a balance step"
             )
             gain = step.energy - prev.energy
-            if step.witnessed_mass:
-                assert gain > eps4 * step.witnessed_mass
-            if step.witnessed_mass > threshold:
+            if step.irregular_mass:
+                assert gain > eps4 * step.irregular_mass
+            if step.irregular_mass > threshold:
                 assert gain > gain_floor
             else:
                 all_heavy = False
@@ -265,11 +258,7 @@ def balanced_irregularity_bound(report, c, eps):
         if cls not in index_of:
             raise InvalidPartitionError(f"{cls!r} is not a class of the partition")
         core_idx.add(index_of[cls])
-    s = sum(
-        1
-        for (a, b), clf in report.classifications.items()
-        if clf.is_irregular and a in core_idx and b in core_idx
-    )
+    s = sum(1 for a, b in report.witnesses() if a in core_idx and b in core_idx)
     k = len(core_idx)
     bound = eps * (1 - eps) ** -2 * k * k
     n = p.ground_size

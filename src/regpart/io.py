@@ -211,8 +211,7 @@ def report_json(report):
         "threshold": str(report.threshold),
         "classifications": [],
     }
-    for pair in sorted(report.classifications):
-        clf = report.classifications[pair]
+    for pair, clf in report.classifications.items():  # row-major order is sorted order
         entry = {"pair": list(pair), "kind": clf.kind}
         if clf.witness is not None:
             entry["witness"] = witness_json(clf.witness)
@@ -271,7 +270,7 @@ def dump_trace_csv(trace, path):
                     step.energy.numerator,
                     step.energy.denominator,
                     step.irregular_mass,
-                    step.witnessed_mass,
+                    step.irregular_mass,  # witnessed_mass column, same number
                     step.verdict,
                 ]
             )
@@ -285,7 +284,7 @@ def trace_json(trace):
                 "num_classes": step.num_classes,
                 "energy": str(step.energy),
                 "irregular_mass": step.irregular_mass,
-                "witnessed_mass": step.witnessed_mass,
+                "witnessed_mass": step.irregular_mass,
                 "verdict": step.verdict,
             }
             for step in trace.steps

@@ -6,11 +6,14 @@ witness (X, Y) violating that bound; regularity of a pair is certified only by
 exhausting the search space. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
 for any pair of singletons, no sub-pair but (I, J) itself can qualify: the
 space holds at most that one candidate, whose gap is 0, and the pair is
-certified without reading the graph. Pairs too large to exhaust go through a
-sound but incomplete heuristic, and an unresolved pair is reported as
-"unknown, treated as regular", never as certified.
+certified without reading the graph; check_partition applies this test once
+per pair of class sizes and never visits such pairs. Pairs too large to
+exhaust go through a sound but incomplete heuristic, and an unresolved pair is
+reported as "unknown, treated as regular", never as certified. A partition's
+report stores only the pairs that are witnessed or unknown.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -99,6 +102,11 @@ def _min_qualifying_size(eps, class_size):
     return eps.numerator * class_size // eps.denominator + 1
 
 
+def _sizes_certify(lo_x, size_i, lo_y, size_j):
+    """True when no sub-pair qualifies, or only (I, J) itself, whose gap is 0."""
+    return lo_x > size_i or lo_y > size_j or (lo_x == size_i and lo_y == size_j)
+
+
 def _band(e_ij, m_ij, eps):
     """Integers (hi, lo, den) with d(I,J) + eps = hi/den and d(I,J) - eps = lo/den.
 
@@ -162,10 +170,8 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
         raise ValueError("vertex sets sized for a different graph")
     lo_x = _min_qualifying_size(eps, i.size)
     lo_y = _min_qualifying_size(eps, j.size)
-    if lo_x > i.size or lo_y > j.size:
-        return _REGULAR  # no qualifying sub-pair exists
-    if lo_x == i.size and lo_y == j.size:
-        return _REGULAR  # (I, J) is the only candidate, and its gap is 0
+    if _sizes_certify(lo_x, i.size, lo_y, j.size):
+        return _REGULAR
 
     e_ij = adjacent_pair_count(g, i, j)
     m_ij = i.size * j.size
@@ -270,83 +276,85 @@ def find_witness_heuristic(g, i, j, eps):
 
 def classify_pair(g, i, j, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
     """Dispatch one pair to the exhaustive or heuristic tier."""
-    if strategy == "exhaustive":
+    if strategy not in ("auto", "exhaustive", "heuristic"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "exhaustive" or (strategy == "auto" and i.size + j.size <= cutoff):
         return check_pair_exhaustive(g, i, j, eps, cutoff)
-    if strategy == "heuristic":
-        return find_witness_heuristic(g, i, j, eps)
-    if strategy == "auto":
-        if i.size + j.size <= cutoff:
-            return check_pair_exhaustive(g, i, j, eps, cutoff)
-        return find_witness_heuristic(g, i, j, eps)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return find_witness_heuristic(g, i, j, eps)
 
 
 @dataclass(frozen=True)
 class RegularityReport:
     """Pair-by-pair classification of a partition plus the partition verdict.
 
-    irregular_mass is the total |I||J| over ordered pairs that carry a
-    witness; the partition is epsilon-regular when that mass is at most
-    threshold = eps * n^2. The verdict is "regular" only when no pair was left
-    unresolved by the heuristic tier.
+    flagged holds the ordered pairs that are witnessed or unknown, in both
+    orientations; every other pair is certified regular. irregular_mass is the
+    total |I||J| over ordered pairs that carry a witness; the partition is
+    epsilon-regular when that mass is at most threshold = eps * n^2. The
+    verdict is "regular" only when no pair was left unresolved by the
+    heuristic tier.
     """
 
     partition: object
     eps: Fraction
     threshold: Fraction
     irregular_mass: int
-    classifications: dict
+    flagged: dict
     verdict: str
+
+    @property
+    def classifications(self):
+        """Fresh dict of all k*k ordered pairs, row-major; unflagged ones certified."""
+        k = range(len(self.partition))
+        return {(a, b): self.flagged.get((a, b), _REGULAR) for a in k for b in k}
 
     def witnesses(self):
         """Witness map {(i_idx, j_idx): PairWitness} over irregular pairs."""
-        return {
-            pair: cls.witness
-            for pair, cls in self.classifications.items()
-            if cls.is_irregular
-        }
+        return {pair: c.witness for pair, c in self.flagged.items() if c.is_irregular}
 
     def has_unknown(self):
-        return any(
-            cls.kind == UNKNOWN_TREATED_AS_REGULAR
-            for cls in self.classifications.values()
-        )
+        return any(c.kind == UNKNOWN_TREATED_AS_REGULAR for c in self.flagged.values())
 
 
 def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
     """Classify every ordered class pair of p (diagonal included).
 
-    Each unordered pair is classified once and mirrored onto the transposed
-    pair (witness (X, Y) becomes (Y, X)), so the symmetric classifications and
-    the double-counted mass come out exact by construction. Deterministic for
-    a fixed strategy.
+    A pair bound for check_pair_exhaustive whose class sizes alone certify it
+    (_sizes_certify) is skipped. The rest go through classify_pair, a <= b in
+    lexicographic order, so the first error raised is the one a walk over every
+    pair would raise. A pair that is not certified is stored with its mirror
+    on (b, a) (witness (X, Y) becomes (Y, X)), so the double-counted mass is
+    exact by construction.
     """
     eps = require_epsilon(eps)
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
-    k = len(p)
-    upper = {}
-    for a in range(k):
-        for b in range(a, k):
-            upper[(a, b)] = classify_pair(g, p[a], p[b], eps, strategy, cutoff)
-    classifications = {}
+    lo = {c.size: _min_qualifying_size(eps, c.size) for c in p}
+    exhaustive = strategy in ("auto", "exhaustive")
+
+    def decided(s, t):
+        return exhaustive and s + t <= cutoff and _sizes_certify(lo[s], s, lo[t], t)
+
+    # per class size s, ascending indices of the classes whose size pair is open
+    partners = {s: [b for b, c in enumerate(p) if not decided(s, c.size)] for s in lo}
+    flagged = {}
     mass = 0
-    for a in range(k):
-        for b in range(k):
-            if a <= b:
-                cls = upper[(a, b)]
-            else:
-                cls = upper[(b, a)].mirrored()
-            classifications[(a, b)] = cls
+    unknown = False
+    for a, cls_a in enumerate(p):
+        row = partners[cls_a.size]
+        for b in row[bisect_left(row, a) :]:
+            cls = classify_pair(g, cls_a, p[b], eps, strategy, cutoff)
+            if cls.kind == REGULAR_CERTIFIED:
+                continue
+            flagged[(b, a)] = cls.mirrored()
+            flagged[(a, b)] = cls  # on the diagonal, the unmirrored entry wins
             if cls.is_irregular:
-                mass += p[a].size * p[b].size
-    n = g.n
-    threshold = eps * n * n
+                mass += (1 if a == b else 2) * cls_a.size * p[b].size
+            unknown |= cls.kind == UNKNOWN_TREATED_AS_REGULAR
+    threshold = eps * g.n * g.n
     if mass > threshold:
         verdict = VERDICT_IRREGULAR
-    elif any(
-        cls.kind == UNKNOWN_TREATED_AS_REGULAR for cls in classifications.values()
-    ):
+    elif unknown:
         verdict = VERDICT_HEURISTICALLY_REGULAR
     else:
         verdict = VERDICT_REGULAR
@@ -355,6 +363,6 @@ def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF
         eps=eps,
         threshold=threshold,
         irregular_mass=mass,
-        classifications=classifications,
+        flagged=flagged,
         verdict=verdict,
     )

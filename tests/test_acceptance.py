@@ -285,7 +285,7 @@ def test_criterion_07_termination(capsys):
             for step in trace.steps:
                 assert step.energy <= n * n
                 if step.phase == "refine":
-                    assert step.witnessed_mass > threshold
+                    assert step.irregular_mass > threshold
             assert trace.refine_count <= math.floor((1 / eps) ** 5)
             verify_trace(trace, eps, n)
         assert any(t.refine_count >= 2 for _, _, t in driver_battery())

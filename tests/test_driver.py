@@ -24,7 +24,7 @@ from regpart import (
     verify_trace,
 )
 from regpart.generate import gnp, planted
-from regpart.regularity import IRREGULAR_WITNESSED, REGULAR_CERTIFIED, PairClassification
+from regpart.regularity import IRREGULAR_WITNESSED, PairClassification
 
 
 def two_cliques():
@@ -55,7 +55,7 @@ class TestRegularize:
         phases = [s.phase for s in trace.steps]
         assert phases == ["balance", "refine", "balance"]
         refine = trace.steps[1]
-        assert refine.witnessed_mass == 8
+        assert refine.irregular_mass == 8
         assert refine.energy - trace.steps[0].energy == Fraction(3, 2)
         assert trace.final_report.verdict == "regular"
 
@@ -156,7 +156,7 @@ class TestVerifyTrace:
         p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
         trace = regularize(g, p0, eps)
         before, refine = trace.steps[0], trace.steps[1]
-        assert refine.witnessed_mass == 8
+        assert refine.irregular_mass == 8
         trace.steps[1] = dataclasses.replace(
             refine, energy=before.energy + Fraction(9, 50)
         )
@@ -195,22 +195,18 @@ def fabricated_report(num_irregular):
     """n=21: ten classes of two plus a leftover singleton; s chosen pairs irregular."""
     sets = [[2 * k, 2 * k + 1] for k in range(10)] + [[20]]
     p = Partition.from_sets(sets, 21)
-    classifications = {}
-    marked = 0
-    for a in range(len(p)):
-        for b in range(len(p)):
-            if marked < num_irregular and a < 10 and b < 10:
-                classifications[(a, b)] = PairClassification(IRREGULAR_WITNESSED, None)
-                marked += 1
-            else:
-                classifications[(a, b)] = PairClassification(REGULAR_CERTIFIED)
+    core_pairs = [(a, b) for a in range(10) for b in range(10)]
+    flagged = {
+        pair: PairClassification(IRREGULAR_WITNESSED, None)
+        for pair in core_pairs[:num_irregular]
+    }
     eps = Fraction(1, 10)
     return RegularityReport(
         partition=p,
         eps=eps,
         threshold=eps * 21 * 21,
         irregular_mass=num_irregular * 4,
-        classifications=classifications,
+        flagged=flagged,
         verdict="irregular",
     )
 

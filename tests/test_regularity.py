@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,10 @@ from regpart import (
     classify_pair,
     density,
     find_witness_heuristic,
+    regularity,
     validate_witness,
 )
+from regpart.generate import gnp
 from regpart.regularity import (
     IRREGULAR_WITNESSED,
     REGULAR_CERTIFIED,
@@ -353,3 +355,98 @@ class TestCheckPartition:
             if clf.is_irregular
         )
         assert mass == rep.irregular_mass == 8
+
+    def test_singleton_partition_makes_no_exhaustive_call(self, monkeypatch):
+        # every size pair is (1, 1): decided by size, so the kernel never runs
+        calls = []
+        kernel = regularity.check_pair_exhaustive
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(regularity, "check_pair_exhaustive", counting)
+        g = gnp(30, Fraction(1, 2), seed=1)
+        rep = check_partition(g, Partition.discrete(30), Fraction(1, 4))
+        assert calls == []
+        assert rep.verdict == VERDICT_REGULAR and rep.flagged == {}
+        assert len(rep.classifications) == 900
+
+
+def reference_report(g, p, eps, strategy, cutoff):
+    """The per-pair definition: classify_pair on every a <= b, mirrored onto (b, a).
+
+    Returns (classifications, irregular_mass, verdict, witnesses, has_unknown).
+    """
+    k = len(p)
+    upper = {
+        (a, b): classify_pair(g, p[a], p[b], eps, strategy, cutoff)
+        for a in range(k)
+        for b in range(a, k)
+    }
+    full = {
+        (a, b): upper[(a, b)] if a <= b else upper[(b, a)].mirrored()
+        for a in range(k)
+        for b in range(k)
+    }
+    mass = sum(p[a].size * p[b].size for (a, b), c in full.items() if c.is_irregular)
+    unknown = any(c.kind == UNKNOWN_TREATED_AS_REGULAR for c in full.values())
+    if mass > eps * g.n * g.n:
+        verdict = VERDICT_IRREGULAR
+    elif unknown:
+        verdict = VERDICT_HEURISTICALLY_REGULAR
+    else:
+        verdict = VERDICT_REGULAR
+    witnesses = {pair: c.witness for pair, c in full.items() if c.is_irregular}
+    return full, mass, verdict, witnesses, unknown
+
+
+@st.composite
+def mixed_partitions(draw):
+    """A graph on at most 14 vertices; classes of 1, 2 and 3 plus one of 4 to 8."""
+    sizes = [draw(st.integers(4, 8))]
+    for size in draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=10)):
+        if sum(sizes) + size <= 14:
+            sizes.append(size)
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    adjacent = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
+    cuts = list(accumulate(sizes, initial=0))
+    classes = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return g, Partition.from_sets(classes, n)
+
+
+class TestCheckPartitionMatchesPerPair:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mixed_partitions(),
+        st.sampled_from(
+            [
+                Fraction(1, 8),
+                Fraction(1, 4),
+                Fraction(1, 3),
+                Fraction(1, 2),
+                Fraction(2, 3),
+                Fraction(99, 100),
+                Fraction(1),
+            ]
+        ),
+        st.sampled_from(["auto", "exhaustive", "heuristic"]),
+        st.sampled_from([2, 4, 26]),
+    )
+    def test_same_report(self, graph_partition, eps, strategy, cutoff):
+        g, p = graph_partition
+        try:
+            expected = reference_report(g, p, eps, strategy, cutoff)
+        except TooLargeError as exc:
+            with pytest.raises(TooLargeError) as caught:
+                check_partition(g, p, eps, strategy, cutoff)
+            assert str(caught.value) == str(exc)
+            return
+        rep = check_partition(g, p, eps, strategy, cutoff)
+        full = rep.classifications
+        assert list(full) == list(expected[0])
+        assert (dict(full), rep.irregular_mass, rep.verdict) == expected[:3]
+        assert (rep.witnesses(), rep.has_unknown()) == expected[3:]
