@@ -9,7 +9,6 @@ and a slow oracle re-derives the fast path's answers independently.
 
 from .driver import (
     CoreBoundResult,
-    RunConfig,
     RunTrace,
     TowerBound,
     TraceStep,
@@ -39,7 +38,6 @@ from .graph import (
     as_fraction,
     density,
     energy,
-    irregular_mass,
     require_epsilon,
 )
 from .refine import (
@@ -49,7 +47,6 @@ from .refine import (
     irregularity_refine,
     is_balanced,
     witness_increment,
-    witnessed_mass,
 )
 from .regularity import (
     DEFAULT_EXHAUSTIVE_CUTOFF,
@@ -82,7 +79,6 @@ __all__ = [
     "Partition",
     "RegPartError",
     "RegularityReport",
-    "RunConfig",
     "RunTrace",
     "TooLargeError",
     "TowerBound",
@@ -101,7 +97,6 @@ __all__ = [
     "energy",
     "find_witness_heuristic",
     "gnp",
-    "irregular_mass",
     "irregularity_refine",
     "is_balanced",
     "planted",
@@ -111,5 +106,4 @@ __all__ = [
     "validate_witness",
     "verify_trace",
     "witness_increment",
-    "witnessed_mass",
 ]

@@ -13,7 +13,12 @@ import argparse
 import json
 import sys
 
-from .driver import RunConfig, STATUS_BUDGET, balanced_irregularity_bound, regularize
+from .driver import (
+    DEFAULT_MAX_CLASSES,
+    STATUS_BUDGET,
+    balanced_irregularity_bound,
+    regularize,
+)
 from .errors import BadParamsError, RegPartError
 from .generate import gnp, planted
 from .graph import energy, require_epsilon
@@ -91,12 +96,14 @@ def cmd_regularize(args):
     p0 = load_partition(args.partition) if args.partition else None
     n = args.n if args.n is not None else (p0.ground_size if p0 else None)
     g = load_edge_list(args.graph, n=n)
-    config = RunConfig(
+    trace = regularize(
+        g,
+        p0,
+        eps,
         strategy=args.strategy,
-        exhaustive_cutoff=args.cutoff,
+        cutoff=args.cutoff,
         max_classes=args.max_classes,
     )
-    trace = regularize(g, p0, eps, config)
     if args.out:
         dump_partition(trace.final, args.out)
         _log(f"wrote final partition to {args.out}")
@@ -187,7 +194,7 @@ def build_parser():
     for flag, kw in common.items():
         reg.add_argument(flag, **kw)
     reg.add_argument("--partition", help="initial partition file (default: one class)")
-    reg.add_argument("--max-classes", type=int, default=4096)
+    reg.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
     reg.add_argument("--trace", help="trace file (.json for JSON, else CSV)")
     reg.add_argument("--out", help="file for the final partition")
     reg.set_defaults(func=cmd_regularize)
@@ -206,13 +213,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RegPartError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return 1
-    except ValueError as exc:
+    except (RegPartError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return 1
 

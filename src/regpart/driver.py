@@ -29,12 +29,7 @@ STATUS_BUDGET = "class_budget_exceeded"
 PHASE_BALANCE = "balance"
 PHASE_REFINE = "refine"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    strategy: str = "auto"
-    exhaustive_cutoff: int = DEFAULT_EXHAUSTIVE_CUTOFF
-    max_classes: int = 4096
+DEFAULT_MAX_CLASSES = 4096
 
 
 @dataclass(frozen=True)
@@ -59,12 +54,15 @@ class TraceStep:
 @dataclass
 class RunTrace:
     steps: list = field(default_factory=list)
-    refine_count: int = 0
     final: Partition | None = None
     status: str | None = None
     # Kept so callers can inspect or serialize the last classification
     # without re-running it.
     final_report: object = None
+
+    @property
+    def refine_count(self):
+        return sum(1 for step in self.steps if step.phase == PHASE_REFINE)
 
 
 def _trace_step(phase, p, e, report):
@@ -86,14 +84,12 @@ def verify_trace(trace, eps, n):
     eps4 = eps**4
     gain_floor = eps**5 * n_sq
     prev = None
-    refine_rows = 0
     all_heavy = True
     for step in trace.steps:
         assert step.energy <= n_sq
         if prev is not None:
             assert step.energy >= prev.energy
         if step.phase == PHASE_REFINE:
-            refine_rows += 1
             assert prev is not None and prev.phase == PHASE_BALANCE, (
                 "a refine step must follow a balance step"
             )
@@ -105,23 +101,28 @@ def verify_trace(trace, eps, n):
             else:
                 all_heavy = False
         prev = step
-    assert refine_rows == trace.refine_count
     if all_heavy:
         assert trace.refine_count <= math.floor((1 / eps) ** 5)
 
 
-def regularize(g, p0, eps, config=None):
+def regularize(
+    g,
+    p0,
+    eps,
+    strategy="auto",
+    cutoff=DEFAULT_EXHAUSTIVE_CUTOFF,
+    max_classes=DEFAULT_MAX_CLASSES,
+):
     """Run the alternating iteration to a certified stop.
 
     p0 of None means the one-class partition. Stops with status regular or
     heuristically_regular once the current partition is balanced and its
     classification finds no irregular excess, or with class_budget_exceeded
-    when the next split would leave more than config.max_classes classes
-    (the oversized partition is discarded; final keeps the last good one).
+    when the next split would leave more than max_classes classes (the
+    oversized partition is discarded; final keeps the last good one).
+    strategy and cutoff are passed to every check_partition call.
     """
     eps = require_epsilon(eps)
-    if config is None:
-        config = RunConfig()
     if p0 is None:
         p0 = Partition.single(g.n)
     if p0.ground_size != g.n:
@@ -132,7 +133,7 @@ def regularize(g, p0, eps, config=None):
     n = g.n
     report = None
 
-    if len(p) > config.max_classes:
+    if len(p) > max_classes:
         trace.final = p
         trace.status = STATUS_BUDGET
         return trace
@@ -141,13 +142,11 @@ def regularize(g, p0, eps, config=None):
     while True:
         if not is_balanced(p, eps).balanced:
             q = balance_refine(p, eps)
-            if len(q) > config.max_classes:
+            if len(q) > max_classes:
                 trace.status = STATUS_BUDGET
                 break
             p, e = q, None
-        report = check_partition(
-            g, p, eps, strategy=config.strategy, cutoff=config.exhaustive_cutoff
-        )
+        report = check_partition(g, p, eps, strategy=strategy, cutoff=cutoff)
         if e is None:
             e = energy(g, p)
         trace.steps.append(_trace_step(PHASE_BALANCE, p, e, report))
@@ -155,11 +154,10 @@ def regularize(g, p0, eps, config=None):
             trace.status = report.verdict
             break
         q = irregularity_refine(g, p, eps, report.witnesses())
-        if len(q) > config.max_classes:
+        if len(q) > max_classes:
             trace.status = STATUS_BUDGET
             break
         p, e = q, energy(g, q)
-        trace.refine_count += 1
         trace.steps.append(_trace_step(PHASE_REFINE, p, e, report))
         report = None  # describes the pre-refine partition, now stale
 
@@ -239,7 +237,8 @@ def balanced_irregularity_bound(report, c, eps):
 
     c is a collection of classes of report.partition, all the same size.
     Returns the count s, the bound eps*(1-eps)**-2*|C|**2, whether s is
-    within it, and the mass comparison s*t**2 vs eps*n**2.
+    within it, and the mass comparison s*t**2 vs report.threshold, the
+    report's eps*n**2.
     """
     eps = require_epsilon(eps)
     if eps >= 1:
@@ -261,9 +260,8 @@ def balanced_irregularity_bound(report, c, eps):
     s = sum(1 for a, b in report.witnesses() if a in core_idx and b in core_idx)
     k = len(core_idx)
     bound = eps * (1 - eps) ** -2 * k * k
-    n = p.ground_size
     mass = s * t * t
-    mass_limit = eps * n * n
+    mass_limit = report.threshold
     return CoreBoundResult(
         irregular_pairs=s,
         core_size=k,

@@ -304,9 +304,6 @@ class Partition:
     def __getitem__(self, i):
         return self.classes[i]
 
-    def sizes(self):
-        return tuple(c.size for c in self.classes)
-
     def refines(self, other):
         """True if every class here is contained in some class of `other`.
 
@@ -335,16 +332,12 @@ class Partition:
         return f"Partition[{body}]"
 
 
-def _check_pair(g, i, j):
+def adjacent_pair_count(g, i, j):
+    """Number of ordered pairs (u, v) in i x j with u adjacent to v."""
     if i.capacity != g.n or j.capacity != g.n:
         raise ValueError("vertex sets sized for a different graph")
     if i.size == 0 or j.size == 0:
         raise EmptySetError("density needs nonempty sets on both sides")
-
-
-def adjacent_pair_count(g, i, j):
-    """Number of ordered pairs (u, v) in i x j with u adjacent to v."""
-    _check_pair(g, i, j)
     jm = j.mask
     return sum((g.rows[u] & jm).bit_count() for u in i.members())
 
@@ -355,7 +348,6 @@ def density(g, i, j):
     Overlapping (or identical) sets are fine: pairs are ordered and the
     diagonal never counts because the graph has no loops.
     """
-    _check_pair(g, i, j)
     return Fraction(adjacent_pair_count(g, i, j), i.size * j.size)
 
 
@@ -392,8 +384,3 @@ def energy(g, p):
                 mass = size_a * size_b
                 by_mass[mass] = by_mass.get(mass, 0) + e * e
     return sum((Fraction(s, mass) for mass, s in by_mass.items()), Fraction(0))
-
-
-def irregular_mass(pairs):
-    """Total |I||J| over the supplied ordered pairs of vertex sets."""
-    return sum(i.size * j.size for i, j in pairs)

@@ -87,7 +87,10 @@ def load_edge_list(path, n=None):
             raise FormatError(
                 f"vertex out of range for n={n}", path=path, line=lineno
             )
-    table = [0] * n
+    try:
+        table = [0] * n
+    except OverflowError:
+        raise FormatError(f"vertex count {n} is too large", path=path) from None
     for u, row in rows.items():
         table[u] = row
     for u, v in deferred:
@@ -112,12 +115,12 @@ def dump_edge_list(g, path):
             fh.write(f"{u} {v}\n")
 
 
-def load_partition(path, n=None):
+def load_partition(path):
     """Read a "k: v1 v2 ..." per-line partition file.
 
-    Class indices must be 0, 1, ... in file order. The ground size is the
-    total number of vertices listed (checked against n when given), and the
-    classes must partition 0..n-1 exactly.
+    Class indices must be 0, 1, ... in file order. The ground size n is the
+    total number of vertices listed, and the classes must partition 0..n-1
+    exactly.
     """
     member_lists = []
     first_line = {}
@@ -169,12 +172,7 @@ def load_partition(path, n=None):
             member_lists.append(members)
     if not member_lists:
         raise FormatError("empty partition file", path=path)
-    total = sum(len(m) for m in member_lists)
-    if n is not None and total != n:
-        raise FormatError(
-            f"partition lists {total} vertices, expected {n}", path=path
-        )
-    ground = total
+    ground = sum(len(m) for m in member_lists)
     top = max(max(m) for m in member_lists)
     if top != ground - 1:
         raise FormatError(

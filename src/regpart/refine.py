@@ -129,11 +129,6 @@ def witness_increment(witness):
     return witness.x.size * witness.y.size * gap * gap
 
 
-def witnessed_mass(p, witnesses):
-    """Total |I||J| over the ordered class pairs carrying a witness."""
-    return sum(p[a].size * p[b].size for (a, b) in witnesses)
-
-
 def irregularity_refine(g, p, eps, witnesses):
     """Refine p so that every witness set becomes a union of new classes.
 

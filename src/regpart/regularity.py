@@ -173,13 +173,13 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
     if _sizes_certify(lo_x, i.size, lo_y, j.size):
         return _REGULAR
 
-    e_ij = adjacent_pair_count(g, i, j)
-    m_ij = i.size * j.size
-    hi, lo, den = _band(e_ij, m_ij, eps)
     bits_i = [1 << u for u in i.members()]
     members_j = j.members()
     cols = [g.rows[v] & i.mask for v in members_j]
     total = len(cols)
+    e_ij = sum(col.bit_count() for col in cols)  # the graph is symmetric
+    m_ij = i.size * j.size
+    hi, lo, den = _band(e_ij, m_ij, eps)
 
     for sx in range(i.size, lo_x - 1, -1):
         bounds = [

@@ -32,8 +32,6 @@ from regpart import (
     validate_witness,
     verify_trace,
     witness_increment,
-    witnessed_mass,
-    RunConfig,
 )
 from regpart.cli import main as cli_main
 from regpart.generate import gnp, planted
@@ -156,20 +154,20 @@ def driver_battery():
         single = Graph.from_edges(4, [(0, 2)])
         single_p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
         runs = [
-            (Graph.empty(8), None, Fraction(1, 4), None),
-            (single, single_p0, Fraction(2, 5), None),
-            (two_cliques(), straddle, Fraction(1, 4), None),
-            (two_cliques(), straddle, Fraction(1, 10), None),
-            (planted(2, 16, "9/10", "1/10", 42), None, Fraction(1, 4), None),
-            (gnp(12, "1/2", 7), None, Fraction(1, 4), None),
-            (gnp(12, "1/2", 2), None, Fraction(1, 5), None),
-            (gnp(14, "1/2", 2), None, Fraction(1, 4), None),
-            (gnp(16, "1/2", 5), None, Fraction(1, 5), None),
-            (single, single_p0, Fraction(2, 5), RunConfig(max_classes=3)),
+            (Graph.empty(8), None, Fraction(1, 4), {}),
+            (single, single_p0, Fraction(2, 5), {}),
+            (two_cliques(), straddle, Fraction(1, 4), {}),
+            (two_cliques(), straddle, Fraction(1, 10), {}),
+            (planted(2, 16, "9/10", "1/10", 42), None, Fraction(1, 4), {}),
+            (gnp(12, "1/2", 7), None, Fraction(1, 4), {}),
+            (gnp(12, "1/2", 2), None, Fraction(1, 5), {}),
+            (gnp(14, "1/2", 2), None, Fraction(1, 4), {}),
+            (gnp(16, "1/2", 5), None, Fraction(1, 5), {}),
+            (single, single_p0, Fraction(2, 5), {"max_classes": 3}),
         ]
         out = []
-        for g, p0, eps, config in runs:
-            trace = regularize(g, p0, eps, config)
+        for g, p0, eps, settings in runs:
+            trace = regularize(g, p0, eps, **settings)
             out.append((eps, g.n, trace))
         _CACHE["battery"] = out
     return _CACHE["battery"]
@@ -225,8 +223,7 @@ def test_criterion_04_refine_bounds(capsys):
         for g, p, eps, report, q, gain in runs:
             n = g.n
             assert report.verdict == VERDICT_IRREGULAR
-            mass = witnessed_mass(p, report.witnesses())
-            assert mass > eps * n * n
+            assert report.irregular_mass > eps * n * n
             assert gain > eps**5 * n * n
             assert len(q) <= len(p) * 4 ** len(p)
         # the n=4 worked example, exactly

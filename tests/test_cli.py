@@ -133,6 +133,34 @@ class TestRegularize:
         assert code == 1
         assert "line 2" in err and "loop" in err
 
+    @pytest.mark.parametrize(
+        "edges, extra",
+        [
+            ("0 1000000000000000000000000000000\n", []),
+            ("0 1\n", ["--n", "1000000000000000000000"]),
+        ],
+    )
+    def test_hostile_vertex_count(self, tmp_path, capsys, edges, extra):
+        graph = tmp_path / "g.txt"
+        graph.write_text(edges)
+        code, out, err = run(capsys, "regularize", "--graph", graph, *extra, "--epsilon", "1/4")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "vertex count 1000" in err
+        assert "Traceback" not in err
+
+    def test_cutoff_flag(self, tmp_path, capsys):
+        # the one-class pair of 8 + 8 vertices is certified exhaustively
+        # under the default cutoff and sent to the heuristic tier below 16
+        graph = tmp_path / "g.txt"
+        graph.write_text("")
+        argv = ["regularize", "--graph", graph, "--n", 8, "--epsilon", "1/4"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)["status"]) == (0, "regular")
+        code, out, _ = run(capsys, *argv, "--cutoff", 15)
+        assert (code, json.loads(out)["status"]) == (2, "heuristically_regular")
+
     def test_bad_epsilon(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
         for eps in ("0", "1e-3", "junk"):

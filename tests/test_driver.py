@@ -13,7 +13,7 @@ from regpart import (
     InvalidPartitionError,
     Partition,
     RegularityReport,
-    RunConfig,
+    TooLargeError,
     TowerBound,
     UnequalSizesError,
     VertexSet,
@@ -98,7 +98,7 @@ class TestRegularize:
     def test_budget_stop_discards_oversized_refine(self):
         g = Graph.from_edges(4, [(0, 2)])
         p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
-        trace = regularize(g, p0, Fraction(2, 5), RunConfig(max_classes=3))
+        trace = regularize(g, p0, Fraction(2, 5), max_classes=3)
         assert trace.status == "class_budget_exceeded"
         assert trace.refine_count == 0
         assert trace.final == p0
@@ -106,10 +106,26 @@ class TestRegularize:
         assert trace.steps[0].verdict == "irregular"
 
     def test_budget_too_small_for_initial(self):
-        trace = regularize(Graph.empty(10), Partition.discrete(10), 1, RunConfig(max_classes=5))
+        trace = regularize(Graph.empty(10), Partition.discrete(10), 1, max_classes=5)
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
+
+    def test_cutoff_reaches_exhaustive_check(self):
+        # the first checked pair is the one class against itself: 8 + 8
+        g = gnp(8, "1/2", 3)
+        regularize(g, None, Fraction(1, 4), strategy="exhaustive", cutoff=16)
+        with pytest.raises(TooLargeError, match="cutoff 15"):
+            regularize(g, None, Fraction(1, 4), strategy="exhaustive", cutoff=15)
+
+    def test_cutoff_routes_auto_to_heuristic(self):
+        # an edgeless pair is certified by the exhaustive tier; the
+        # heuristic tier finds no witness and certifies nothing
+        g = Graph.empty(8)
+        assert regularize(g, None, Fraction(1, 4)).status == "regular"
+        trace = regularize(g, None, Fraction(1, 4), cutoff=15)
+        assert trace.status == "heuristically_regular"
+        assert trace.final_report.has_unknown()
 
     def test_mismatched_p0(self):
         with pytest.raises(InvalidPartitionError):

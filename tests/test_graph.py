@@ -17,7 +17,6 @@ from regpart import (
     as_fraction,
     density,
     energy,
-    irregular_mass,
     require_epsilon,
 )
 from regpart.errors import BadEpsilonError
@@ -335,11 +334,3 @@ class TestEnergy:
     def test_partition_must_match(self):
         with pytest.raises(InvalidPartitionError):
             energy(Graph.empty(3), Partition.single(4))
-
-
-def test_irregular_mass():
-    sets = [
-        (VertexSet.from_iterable([0], 4), VertexSet.from_iterable([1, 2, 3], 4))
-    ]
-    assert irregular_mass(sets) == 3
-    assert irregular_mass([]) == 0

@@ -262,12 +262,6 @@ class TestPartitionFile:
         with pytest.raises(FormatError, match="empty partition"):
             load_partition(path)
 
-    def test_n_mismatch(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("0: 0 1 2\n")
-        with pytest.raises(FormatError, match="expected 5"):
-            load_partition(path, n=5)
-
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0 1 2\n")

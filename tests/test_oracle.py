@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition, random_refinement
 from regpart import (
@@ -18,6 +21,7 @@ from regpart import (
     validate_witness,
 )
 from regpart.oracle import (
+    MAX_BRUTE_SIDE,
     DenseMatrix,
     brute_force_pair_check,
     frobenius_sq,
@@ -151,7 +155,39 @@ class TestPythagoras:
             assert frobenius_sq(mp) == energy(g, p)
 
 
+@st.composite
+def capped_pairs(draw):
+    """A random graph with a disjoint class pair: one side up to the oracle's
+    cap of 12, the two sides 14 vertices at most, either side the larger."""
+    big = draw(st.integers(1, MAX_BRUTE_SIDE))
+    small = draw(st.integers(1, min(big, 14 - big)))
+    a, b = (big, small) if draw(st.booleans()) else (small, big)
+    n = a + b
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    adjacent = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
+    i = VertexSet.from_iterable(order[:a], n)
+    j = VertexSet.from_iterable(order[a:], n)
+    return g, i, j
+
+
 class TestBruteForcePairCheck:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capped_pairs(),
+        st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(99, 100)]),
+    )
+    def test_fast_path_agrees_up_to_cap(self, pair, eps):
+        g, i, j = pair
+        fast = check_pair_exhaustive(g, i, j, eps)
+        slow = brute_force_pair_check(g, i, j, eps)
+        assert fast.kind == slow.kind
+        # the two visit X in different orders, so only validity is compared
+        for clf in (fast, slow):
+            if clf.witness is not None:
+                validate_witness(g, i, j, eps, clf.witness)
+
     def test_single_edge_agrees(self):
         g = Graph.from_edges(4, [(0, 2)])
         i = VertexSet.from_iterable([0, 1], 4)

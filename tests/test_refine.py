@@ -22,7 +22,6 @@ from regpart import (
     irregularity_refine,
     is_balanced,
     witness_increment,
-    witnessed_mass,
 )
 
 
@@ -158,7 +157,7 @@ class TestIrregularityRefine:
         eps = Fraction(2, 5)
         rep = check_partition(g, p, eps, strategy="exhaustive")
         witnesses = rep.witnesses()
-        assert witnessed_mass(p, witnesses) == 8
+        assert rep.irregular_mass == 8
         q = irregularity_refine(g, p, eps, witnesses)
         assert len(q) == 4
         assert energy(g, q) == 2
@@ -225,7 +224,7 @@ class TestIrregularityRefine:
             q = irregularity_refine(g, p, Fraction(1, 4), witnesses)
             assert q.refines(p)
             gain = energy(g, q) - energy(g, p)
-            assert gain > eps4 * witnessed_mass(p, witnesses)
+            assert gain > eps4 * rep.irregular_mass
             assert len(q) <= len(p) * 4 ** len(p)
         assert hits > 5
 
