@@ -142,7 +142,7 @@ def cmd_check(args):
     cert = is_balanced(p, eps)
     bound = None
     if cert.balanced and eps < 1:
-        bound = balanced_irregularity_bound(report, cert.core, eps)
+        bound = balanced_irregularity_bound(report, cert.core)
     payload = report_json(report)
     payload["balance"] = balance_json(cert, p)
     payload["core_irregularity"] = core_bound_json(bound) if bound else None

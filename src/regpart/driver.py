@@ -31,6 +31,9 @@ PHASE_REFINE = "refine"
 
 DEFAULT_MAX_CLASSES = 4096
 
+# tower_bound reports values of more decimal digits than this as astronomical.
+TOWER_DIGIT_CAP = 10000
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -168,7 +171,7 @@ def regularize(
         cert = is_balanced(p, eps)
         assert cert.balanced
         if eps < 1:
-            result = balanced_irregularity_bound(report, cert.core, eps)
+            result = balanced_irregularity_bound(report, cert.core)
             assert result.holds
     return trace
 
@@ -181,26 +184,26 @@ class TowerBound:
     astronomical: bool
 
 
-def tower_bound(eps, p0_size, digit_cap=10000):
+def tower_bound(eps, p0_size):
     """Iterate x -> (1 + 1/eps) * x * 4**ceil(x), floor(eps**-5) times.
 
     Starts from (1 + 1/eps) * p0_size. The ceiling in the exponent makes each
     iterate an upper bound for the fractional-exponent expression, so the
     result is a valid conservative bound on the number of classes the
-    iteration can produce. Values beyond digit_cap decimal digits come back
-    as astronomical instead of an integer.
+    iteration can produce. Values beyond TOWER_DIGIT_CAP decimal digits come
+    back as astronomical instead of an integer.
     """
     eps = require_epsilon(eps)
     if p0_size < 1:
         raise ValueError("p0_size must be >= 1")
     rounds = math.floor((1 / eps) ** 5)
     factor = 1 + 1 / eps
-    limit = 10**digit_cap
+    limit = 10**TOWER_DIGIT_CAP
     x = factor * p0_size
     for _ in range(rounds):
         e = math.ceil(x)
-        if e > 2 * digit_cap:
-            # 4**e alone would have about 0.6 * e > digit_cap digits.
+        if e > 2 * TOWER_DIGIT_CAP:
+            # 4**e alone would have about 0.6 * e > TOWER_DIGIT_CAP digits.
             return TowerBound(value=None, astronomical=True)
         x = factor * x * 4**e
         if x >= limit:
@@ -232,15 +235,15 @@ class CoreBoundResult:
     mass_within_threshold: bool
 
 
-def balanced_irregularity_bound(report, c, eps):
-    """Count witnessed-irregular pairs inside the equal-size core c.
+def balanced_irregularity_bound(report, c):
+    """Count witnessed-irregular ordered pairs inside the equal-size core c.
 
-    c is a collection of classes of report.partition, all the same size.
-    Returns the count s, the bound eps*(1-eps)**-2*|C|**2, whether s is
-    within it, and the mass comparison s*t**2 vs report.threshold, the
-    report's eps*n**2.
+    c is a collection of classes of report.partition, all the same size, and
+    eps is report.eps. Returns the count s, the bound eps*(1-eps)**-2*|C|**2,
+    whether s is within it, and the mass comparison s*t**2 vs
+    report.threshold, the report's eps*n**2.
     """
-    eps = require_epsilon(eps)
+    eps = report.eps
     if eps >= 1:
         raise BadEpsilonError(f"bound degenerate for epsilon {eps} >= 1")
     core = tuple(c)
@@ -257,7 +260,11 @@ def balanced_irregularity_bound(report, c, eps):
         if cls not in index_of:
             raise InvalidPartitionError(f"{cls!r} is not a class of the partition")
         core_idx.add(index_of[cls])
-    s = sum(1 for a, b in report.witnesses() if a in core_idx and b in core_idx)
+    s = sum(
+        1 if a == b else 2
+        for a, b in report.witnesses()
+        if a in core_idx and b in core_idx
+    )
     k = len(core_idx)
     bound = eps * (1 - eps) ** -2 * k * k
     mass = s * t * t

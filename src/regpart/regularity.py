@@ -10,7 +10,7 @@ certified without reading the graph; check_partition applies this test once
 per pair of class sizes and never visits such pairs. Pairs too large to
 exhaust go through a sound but incomplete heuristic, and an unresolved pair is
 reported as "unknown, treated as regular", never as certified. A partition's
-report stores only the pairs that are witnessed or unknown.
+report stores each witnessed or unknown pair once, as (a, b) with a <= b.
 """
 
 from bisect import bisect_left
@@ -285,31 +285,55 @@ def classify_pair(g, i, j, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOF
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Pair-by-pair classification of a partition plus the partition verdict.
+    """Pair-by-pair classification of a partition; the verdict is derived.
 
-    flagged holds the ordered pairs that are witnessed or unknown, in both
-    orientations; every other pair is certified regular. irregular_mass is the
-    total |I||J| over ordered pairs that carry a witness; the partition is
-    epsilon-regular when that mass is at most threshold = eps * n^2. The
-    verdict is "regular" only when no pair was left unresolved by the
-    heuristic tier.
+    flagged maps each witnessed or unknown pair (a, b), a <= b, to its
+    classification; every other pair is certified regular, and (b, a) is the
+    mirror of (a, b). The partition is epsilon-regular when irregular_mass is
+    at most threshold = eps * n^2. The verdict is "regular" only when no pair
+    was left unresolved by the heuristic tier.
     """
 
     partition: object
     eps: Fraction
-    threshold: Fraction
-    irregular_mass: int
     flagged: dict
-    verdict: str
+
+    @property
+    def threshold(self):
+        return self.eps * self.partition.ground_size**2
+
+    @property
+    def irregular_mass(self):
+        """Total |I||J| over the ordered pairs that carry a witness."""
+        p = self.partition
+        return sum(
+            (1 if a == b else 2) * p[a].size * p[b].size
+            for (a, b), c in self.flagged.items()
+            if c.is_irregular
+        )
+
+    @property
+    def verdict(self):
+        if self.irregular_mass > self.threshold:
+            return VERDICT_IRREGULAR
+        if self.has_unknown():
+            return VERDICT_HEURISTICALLY_REGULAR
+        return VERDICT_REGULAR
 
     @property
     def classifications(self):
         """Fresh dict of all k*k ordered pairs, row-major; unflagged ones certified."""
         k = range(len(self.partition))
-        return {(a, b): self.flagged.get((a, b), _REGULAR) for a in k for b in k}
+        return {
+            (a, b): self.flagged.get((a, b), _REGULAR)
+            if a <= b
+            else self.flagged.get((b, a), _REGULAR).mirrored()
+            for a in k
+            for b in k
+        }
 
     def witnesses(self):
-        """Witness map {(i_idx, j_idx): PairWitness} over irregular pairs."""
+        """Witness map {(a, b): PairWitness}, a <= b, over irregular pairs."""
         return {pair: c.witness for pair, c in self.flagged.items() if c.is_irregular}
 
     def has_unknown(self):
@@ -317,14 +341,12 @@ class RegularityReport:
 
 
 def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
-    """Classify every ordered class pair of p (diagonal included).
+    """Classify every class pair of p (diagonal included), each a <= b once.
 
     A pair bound for check_pair_exhaustive whose class sizes alone certify it
     (_sizes_certify) is skipped. The rest go through classify_pair, a <= b in
     lexicographic order, so the first error raised is the one a walk over every
-    pair would raise. A pair that is not certified is stored with its mirror
-    on (b, a) (witness (X, Y) becomes (Y, X)), so the double-counted mass is
-    exact by construction.
+    pair would raise.
     """
     eps = require_epsilon(eps)
     if p.ground_size != g.n:
@@ -338,31 +360,10 @@ def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF
     # per class size s, ascending indices of the classes whose size pair is open
     partners = {s: [b for b, c in enumerate(p) if not decided(s, c.size)] for s in lo}
     flagged = {}
-    mass = 0
-    unknown = False
     for a, cls_a in enumerate(p):
         row = partners[cls_a.size]
         for b in row[bisect_left(row, a) :]:
             cls = classify_pair(g, cls_a, p[b], eps, strategy, cutoff)
-            if cls.kind == REGULAR_CERTIFIED:
-                continue
-            flagged[(b, a)] = cls.mirrored()
-            flagged[(a, b)] = cls  # on the diagonal, the unmirrored entry wins
-            if cls.is_irregular:
-                mass += (1 if a == b else 2) * cls_a.size * p[b].size
-            unknown |= cls.kind == UNKNOWN_TREATED_AS_REGULAR
-    threshold = eps * g.n * g.n
-    if mass > threshold:
-        verdict = VERDICT_IRREGULAR
-    elif unknown:
-        verdict = VERDICT_HEURISTICALLY_REGULAR
-    else:
-        verdict = VERDICT_REGULAR
-    return RegularityReport(
-        partition=p,
-        eps=eps,
-        threshold=threshold,
-        irregular_mass=mass,
-        flagged=flagged,
-        verdict=verdict,
-    )
+            if cls.kind != REGULAR_CERTIFIED:
+                flagged[(a, b)] = cls
+    return RegularityReport(partition=p, eps=eps, flagged=flagged)

@@ -331,19 +331,19 @@ def test_criterion_09_core_bound(capsys):
             cert = is_balanced(trace.final, eps)
             if not cert.balanced or trace.final_report is None or eps >= 1:
                 continue
-            out = balanced_irregularity_bound(trace.final_report, cert.core, eps)
+            out = balanced_irregularity_bound(trace.final_report, cert.core)
             assert out.holds
             checked += 1
         assert checked >= 8
         # hand arithmetic: eps=1/10, |C|=10, t=2, n=21
         rep12 = fabricated_report(12)
         core = [cls for cls in rep12.partition if cls.size == 2]
-        out12 = balanced_irregularity_bound(rep12, core, Fraction(1, 10))
+        out12 = balanced_irregularity_bound(rep12, core)
         assert out12.bound == Fraction(1000, 81)
         assert out12.holds
         rep13 = fabricated_report(13)
         core = [cls for cls in rep13.partition if cls.size == 2]
-        assert not balanced_irregularity_bound(rep13, core, Fraction(1, 10)).holds
+        assert not balanced_irregularity_bound(rep13, core).holds
 
 
 def _cli_planted_run(workdir):

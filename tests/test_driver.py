@@ -23,6 +23,7 @@ from regpart import (
     tower_bound,
     verify_trace,
 )
+from regpart import driver
 from regpart.generate import gnp, planted
 from regpart.regularity import IRREGULAR_WITNESSED, PairClassification
 
@@ -193,9 +194,11 @@ class TestTowerBound:
         out = tower_bound(2, 2)  # floor((1/2)**5) = 0 rounds
         assert out.value == 3 and not out.astronomical
 
-    def test_digit_cap(self):
-        assert tower_bound(1, 1, digit_cap=1).astronomical
-        assert not tower_bound(1, 1, digit_cap=2).astronomical
+    def test_digit_cap(self, monkeypatch):
+        monkeypatch.setattr(driver, "TOWER_DIGIT_CAP", 1)
+        assert tower_bound(1, 1).astronomical
+        monkeypatch.setattr(driver, "TOWER_DIGIT_CAP", 2)
+        assert not tower_bound(1, 1).astronomical
 
     def test_monotone_in_start(self):
         assert tower_bound(1, 2).value > tower_bound(1, 1).value
@@ -208,23 +211,17 @@ class TestTowerBound:
 
 
 def fabricated_report(num_irregular):
-    """n=21: ten classes of two plus a leftover singleton; s chosen pairs irregular."""
+    """n=21: ten classes of two plus a leftover singleton; s ordered pairs irregular.
+
+    The off-diagonal pairs (0, 1), (0, 2), ... count twice each, as (a, b)
+    and (b, a); an odd s adds the diagonal pair (9, 9), which counts once.
+    """
     sets = [[2 * k, 2 * k + 1] for k in range(10)] + [[20]]
     p = Partition.from_sets(sets, 21)
-    core_pairs = [(a, b) for a in range(10) for b in range(10)]
-    flagged = {
-        pair: PairClassification(IRREGULAR_WITNESSED, None)
-        for pair in core_pairs[:num_irregular]
-    }
-    eps = Fraction(1, 10)
-    return RegularityReport(
-        partition=p,
-        eps=eps,
-        threshold=eps * 21 * 21,
-        irregular_mass=num_irregular * 4,
-        flagged=flagged,
-        verdict="irregular",
-    )
+    pairs = [(0, b) for b in range(1, num_irregular // 2 + 1)]
+    pairs += [(9, 9)] * (num_irregular % 2)
+    flagged = {pair: PairClassification(IRREGULAR_WITNESSED, None) for pair in pairs}
+    return RegularityReport(partition=p, eps=Fraction(1, 10), flagged=flagged)
 
 
 class TestBalancedIrregularityBound:
@@ -233,7 +230,8 @@ class TestBalancedIrregularityBound:
 
     def test_hand_case_true(self):
         rep = fabricated_report(12)
-        out = balanced_irregularity_bound(rep, self.core_of(rep), Fraction(1, 10))
+        out = balanced_irregularity_bound(rep, self.core_of(rep))
+        assert rep.irregular_mass == 48
         assert out.irregular_pairs == 12
         assert out.core_size == 10
         assert out.class_size == 2
@@ -246,45 +244,45 @@ class TestBalancedIrregularityBound:
 
     def test_hand_case_false(self):
         rep = fabricated_report(13)
-        out = balanced_irregularity_bound(rep, self.core_of(rep), Fraction(1, 10))
+        out = balanced_irregularity_bound(rep, self.core_of(rep))
         assert not out.holds
 
     def test_zero_irregular_always_holds(self):
         rep = fabricated_report(0)
-        out = balanced_irregularity_bound(rep, self.core_of(rep), Fraction(1, 10))
+        out = balanced_irregularity_bound(rep, self.core_of(rep))
         assert out.holds and out.irregular_pairs == 0
 
     def test_unequal_sizes(self):
         rep = fabricated_report(0)
         with pytest.raises(UnequalSizesError):
-            balanced_irregularity_bound(rep, list(rep.partition), Fraction(1, 10))
+            balanced_irregularity_bound(rep, list(rep.partition))
 
     def test_degenerate_epsilon(self):
-        rep = fabricated_report(0)
+        rep = dataclasses.replace(fabricated_report(0), eps=Fraction(1))
         with pytest.raises(BadEpsilonError):
-            balanced_irregularity_bound(rep, self.core_of(rep), 1)
+            balanced_irregularity_bound(rep, self.core_of(rep))
 
     def test_empty_core(self):
         rep = fabricated_report(0)
         with pytest.raises(EmptySetError):
-            balanced_irregularity_bound(rep, [], Fraction(1, 10))
+            balanced_irregularity_bound(rep, [])
 
     def test_foreign_class(self):
         rep = fabricated_report(0)
         alien = [VertexSet.from_iterable([0, 2], 21), VertexSet.from_iterable([1, 3], 21)]
         with pytest.raises(InvalidPartitionError):
-            balanced_irregularity_bound(rep, alien, Fraction(1, 10))
+            balanced_irregularity_bound(rep, alien)
 
     def test_counts_only_core_pairs(self):
         rep = fabricated_report(12)
         # restrict the core to the first 3 classes: only marked pairs with
         # both indices < 3 count
         core = [rep.partition[k] for k in range(3)]
-        out = balanced_irregularity_bound(rep, core, Fraction(1, 10))
+        out = balanced_irregularity_bound(rep, core)
         expected = sum(
             1
             for (a, b), clf in rep.classifications.items()
             if clf.is_irregular and a < 3 and b < 3
         )
-        assert out.irregular_pairs == expected
+        assert out.irregular_pairs == expected == 4
         assert out.core_size == 3

@@ -20,6 +20,8 @@ from regpart import (
     classify_pair,
     density,
     find_witness_heuristic,
+    irregularity_refine,
+    refine,
     regularity,
     validate_witness,
 )
@@ -376,7 +378,8 @@ class TestCheckPartition:
 def reference_report(g, p, eps, strategy, cutoff):
     """The per-pair definition: classify_pair on every a <= b, mirrored onto (b, a).
 
-    Returns (classifications, irregular_mass, verdict, witnesses, has_unknown).
+    Returns (classifications, irregular_mass, verdict, witnesses, has_unknown);
+    the mass and verdict come from the ordered map, the witnesses from a <= b.
     """
     k = len(p)
     upper = {
@@ -397,7 +400,7 @@ def reference_report(g, p, eps, strategy, cutoff):
         verdict = VERDICT_HEURISTICALLY_REGULAR
     else:
         verdict = VERDICT_REGULAR
-    witnesses = {pair: c.witness for pair, c in full.items() if c.is_irregular}
+    witnesses = {pair: c.witness for pair, c in upper.items() if c.is_irregular}
     return full, mass, verdict, witnesses, unknown
 
 
@@ -450,3 +453,34 @@ class TestCheckPartitionMatchesPerPair:
         assert list(full) == list(expected[0])
         assert (dict(full), rep.irregular_mass, rep.verdict) == expected[:3]
         assert (rep.witnesses(), rep.has_unknown()) == expected[3:]
+        assert all(a <= b for a, b in rep.flagged)
+
+
+class TestRefineValidatesOncePerPair:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mixed_partitions(),
+        st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+    )
+    def test_one_validation_per_witnessed_pair(self, graph_partition, eps):
+        g, p = graph_partition
+        rep = check_partition(g, p, eps)
+        calls = []
+        validate = refine.validate_witness
+
+        def counting(g, i, j, eps, witness):
+            calls.append((i, j, witness))
+            return validate(g, i, j, eps, witness)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine, "validate_witness", counting)
+            q = irregularity_refine(g, p, eps, rep.witnesses())
+        ordered = {
+            pair: c.witness for pair, c in rep.classifications.items() if c.is_irregular
+        }
+        # one call per witnessed pair a <= b, in key order
+        assert calls == [
+            (p[a], p[b], w) for (a, b), w in sorted(ordered.items()) if a <= b
+        ]
+        # the same refinement as from every ordered pair, mirrors included
+        assert q == irregularity_refine(g, p, eps, ordered)
