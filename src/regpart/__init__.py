@@ -49,7 +49,7 @@ from .refine import (
     witness_increment,
 )
 from .regularity import (
-    DEFAULT_EXHAUSTIVE_CUTOFF,
+    EXHAUSTIVE_CUTOFF,
     PairClassification,
     PairWitness,
     RegularityReport,
@@ -67,7 +67,7 @@ __all__ = [
     "BadParamsError",
     "BalanceCertificate",
     "CoreBoundResult",
-    "DEFAULT_EXHAUSTIVE_CUTOFF",
+    "EXHAUSTIVE_CUTOFF",
     "EmptySetError",
     "FormatError",
     "Graph",

@@ -35,7 +35,7 @@ from .io import (
 )
 from .refine import is_balanced
 from .regularity import (
-    DEFAULT_EXHAUSTIVE_CUTOFF,
+    EXHAUSTIVE_CUTOFF,
     VERDICT_HEURISTICALLY_REGULAR,
     VERDICT_REGULAR,
     check_partition,
@@ -100,7 +100,6 @@ def cmd_regularize(args):
         g,
         p0,
         eps,
-        strategy=args.strategy,
         cutoff=args.cutoff,
         max_classes=args.max_classes,
     )
@@ -137,8 +136,8 @@ def cmd_regularize(args):
 def cmd_check(args):
     eps = require_epsilon(args.epsilon)
     p = load_partition(args.partition)
-    g = load_edge_list(args.graph, n=args.n if args.n is not None else p.ground_size)
-    report = check_partition(g, p, eps, strategy=args.strategy, cutoff=args.cutoff)
+    g = load_edge_list(args.graph, n=p.ground_size)
+    report = check_partition(g, p, eps, cutoff=args.cutoff)
     cert = is_balanced(p, eps)
     bound = None
     if cert.balanced and eps < 1:
@@ -179,20 +178,20 @@ def build_parser():
     common = {
         "--graph": dict(required=True, help="edge-list file"),
         "--epsilon": dict(required=True, help="exact rational, e.g. 1/4 or 0.25"),
-        "--n": dict(type=int, help="vertex count override (needed for edgeless files)"),
-        "--strategy": dict(
-            choices=["exhaustive", "heuristic", "auto"], default="auto"
-        ),
         "--cutoff": dict(
             type=int,
-            default=DEFAULT_EXHAUSTIVE_CUTOFF,
-            help="max |I|+|J| for exhaustive pair checks",
+            default=EXHAUSTIVE_CUTOFF,
+            help=f"max |I|+|J| for exhaustive pair checks, 0..{EXHAUSTIVE_CUTOFF}; "
+            "0 means heuristic only",
         ),
     }
 
     reg = sub.add_parser("regularize", help="run the alternating iteration")
     for flag, kw in common.items():
         reg.add_argument(flag, **kw)
+    reg.add_argument(
+        "--n", type=int, help="vertex count override (needed for edgeless files)"
+    )
     reg.add_argument("--partition", help="initial partition file (default: one class)")
     reg.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
     reg.add_argument("--trace", help="trace file (.json for JSON, else CSV)")

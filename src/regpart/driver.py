@@ -20,7 +20,7 @@ from .errors import (
 )
 from .graph import Partition, energy, require_epsilon
 from .refine import balance_refine, is_balanced, irregularity_refine
-from .regularity import DEFAULT_EXHAUSTIVE_CUTOFF, VERDICT_IRREGULAR, check_partition
+from .regularity import EXHAUSTIVE_CUTOFF, VERDICT_IRREGULAR, check_partition
 
 # A finished run's status is the final verdict (regular or
 # heuristically_regular), or this marker when the class budget stopped it.
@@ -112,8 +112,7 @@ def regularize(
     g,
     p0,
     eps,
-    strategy="auto",
-    cutoff=DEFAULT_EXHAUSTIVE_CUTOFF,
+    cutoff=EXHAUSTIVE_CUTOFF,
     max_classes=DEFAULT_MAX_CLASSES,
 ):
     """Run the alternating iteration to a certified stop.
@@ -123,7 +122,7 @@ def regularize(
     classification finds no irregular excess, or with class_budget_exceeded
     when the next split would leave more than max_classes classes (the
     oversized partition is discarded; final keeps the last good one).
-    strategy and cutoff are passed to every check_partition call.
+    cutoff is passed to every check_partition call.
     """
     eps = require_epsilon(eps)
     if p0 is None:
@@ -149,7 +148,7 @@ def regularize(
                 trace.status = STATUS_BUDGET
                 break
             p, e = q, None
-        report = check_partition(g, p, eps, strategy=strategy, cutoff=cutoff)
+        report = check_partition(g, p, eps, cutoff=cutoff)
         if e is None:
             e = energy(g, p)
         trace.steps.append(_trace_step(PHASE_BALANCE, p, e, report))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 from .errors import (
+    BadParamsError,
     EmptySetError,
     InvalidPartitionError,
     InvalidWitnessError,
@@ -26,7 +27,8 @@ from .errors import (
 )
 from .graph import VertexSet, adjacent_pair_count, density, require_epsilon
 
-DEFAULT_EXHAUSTIVE_CUTOFF = 26
+# The default cutoff, and the largest |I| + |J| check_pair_exhaustive enumerates.
+EXHAUSTIVE_CUTOFF = 26
 
 REGULAR_CERTIFIED = "regular_certified"
 IRREGULAR_WITNESSED = "irregular_witnessed"
@@ -138,7 +140,7 @@ def _first_pick_above(counts, size, bound):
     return tuple(pick)
 
 
-def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
+def check_pair_exhaustive(g, i, j, eps):
     """Decide pair regularity by complete subset enumeration, in integers.
 
     Enumerates candidate X by size descending, lexicographic within a size,
@@ -156,15 +158,16 @@ def check_pair_exhaustive(g, i, j, eps, cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
     exhausted. Two spaces are exhausted before any edge is counted: an empty
     one, and the one-candidate space in which eps|I| < |X| forces X = I and
     eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0. The
-    empty-side and cutoff checks still come first, so an oversized pair
-    raises TooLargeError whatever eps is.
+    empty-side and size checks still come first, so a pair larger than
+    EXHAUSTIVE_CUTOFF raises TooLargeError whatever eps is.
     """
     eps = require_epsilon(eps)
     if i.size == 0 or j.size == 0:
         raise EmptySetError("cannot classify a pair with an empty side")
-    if i.size + j.size > cutoff:
+    if i.size + j.size > EXHAUSTIVE_CUTOFF:
         raise TooLargeError(
-            f"|i| + |j| = {i.size + j.size} exceeds exhaustive cutoff {cutoff}"
+            f"|i| + |j| = {i.size + j.size} exceeds exhaustive cutoff "
+            f"{EXHAUSTIVE_CUTOFF}"
         )
     if i.capacity != g.n or j.capacity != g.n:
         raise ValueError("vertex sets sized for a different graph")
@@ -274,12 +277,10 @@ def find_witness_heuristic(g, i, j, eps):
     return _UNKNOWN
 
 
-def classify_pair(g, i, j, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
-    """Dispatch one pair to the exhaustive or heuristic tier."""
-    if strategy not in ("auto", "exhaustive", "heuristic"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "exhaustive" or (strategy == "auto" and i.size + j.size <= cutoff):
-        return check_pair_exhaustive(g, i, j, eps, cutoff)
+def classify_pair(g, i, j, eps, cutoff=EXHAUSTIVE_CUTOFF):
+    """Check the pair exhaustively when |I| + |J| <= cutoff, else heuristically."""
+    if i.size + j.size <= cutoff:
+        return check_pair_exhaustive(g, i, j, eps)
     return find_witness_heuristic(g, i, j, eps)
 
 
@@ -287,16 +288,25 @@ def classify_pair(g, i, j, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOF
 class RegularityReport:
     """Pair-by-pair classification of a partition; the verdict is derived.
 
-    flagged maps each witnessed or unknown pair (a, b), a <= b, to its
-    classification; every other pair is certified regular, and (b, a) is the
-    mirror of (a, b). The partition is epsilon-regular when irregular_mass is
-    at most threshold = eps * n^2. The verdict is "regular" only when no pair
-    was left unresolved by the heuristic tier.
+    flagged maps each witnessed or unknown pair (a, b), 0 <= a <= b < k, to its
+    classification, and any other key raises InvalidWitnessError; every other
+    pair is certified regular, and (b, a) is the mirror of (a, b). The
+    partition is epsilon-regular when irregular_mass is at most
+    threshold = eps * n^2. The verdict is "regular" only when no pair was left
+    unresolved by the heuristic tier.
     """
 
     partition: object
     eps: Fraction
     flagged: dict
+
+    def __post_init__(self):
+        k = len(self.partition)
+        for a, b in self.flagged:
+            if not 0 <= a <= b < k:
+                raise InvalidWitnessError(
+                    f"flagged key ({a}, {b}) is not a class pair a <= b < {k}"
+                )
 
     @property
     def threshold(self):
@@ -340,22 +350,24 @@ class RegularityReport:
         return any(c.kind == UNKNOWN_TREATED_AS_REGULAR for c in self.flagged.values())
 
 
-def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF):
+def check_partition(g, p, eps, cutoff=EXHAUSTIVE_CUTOFF):
     """Classify every class pair of p (diagonal included), each a <= b once.
 
-    A pair bound for check_pair_exhaustive whose class sizes alone certify it
-    (_sizes_certify) is skipped. The rest go through classify_pair, a <= b in
-    lexicographic order, so the first error raised is the one a walk over every
-    pair would raise.
+    cutoff, 0..EXHAUSTIVE_CUTOFF, is the largest |I| + |J| checked
+    exhaustively; 0 leaves every pair to the heuristic. A pair within the
+    cutoff whose class sizes alone certify it (_sizes_certify) is skipped. The
+    rest go through classify_pair, a <= b in lexicographic order, so the first
+    error raised is the one a walk over every pair would raise.
     """
     eps = require_epsilon(eps)
+    if not 0 <= cutoff <= EXHAUSTIVE_CUTOFF:
+        raise BadParamsError(f"cutoff must be in 0..{EXHAUSTIVE_CUTOFF}, got {cutoff}")
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     lo = {c.size: _min_qualifying_size(eps, c.size) for c in p}
-    exhaustive = strategy in ("auto", "exhaustive")
 
     def decided(s, t):
-        return exhaustive and s + t <= cutoff and _sizes_certify(lo[s], s, lo[t], t)
+        return s + t <= cutoff and _sizes_certify(lo[s], s, lo[t], t)
 
     # per class size s, ascending indices of the classes whose size pair is open
     partners = {s: [b for b, c in enumerate(p) if not decided(s, c.size)] for s in lo}
@@ -363,7 +375,7 @@ def check_partition(g, p, eps, strategy="auto", cutoff=DEFAULT_EXHAUSTIVE_CUTOFF
     for a, cls_a in enumerate(p):
         row = partners[cls_a.size]
         for b in row[bisect_left(row, a) :]:
-            cls = classify_pair(g, cls_a, p[b], eps, strategy, cutoff)
+            cls = classify_pair(g, cls_a, p[b], eps, cutoff)
             if cls.kind != REGULAR_CERTIFIED:
                 flagged[(a, b)] = cls
     return RegularityReport(partition=p, eps=eps, flagged=flagged)

@@ -130,7 +130,7 @@ def irregular_runs():
     if "irregular" not in _CACHE:
         runs = []
         for g, p, eps in irregular_instances():
-            report = check_partition(g, p, eps, strategy="exhaustive")
+            report = check_partition(g, p, eps)
             witnesses = report.witnesses()
             q = irregularity_refine(g, p, eps, witnesses)
             gain = energy(g, q) - energy(g, p)

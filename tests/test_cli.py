@@ -62,7 +62,7 @@ class TestRegularize:
         out_file = tmp_path / "final.txt"
         code, out, _ = run(
             capsys, "regularize", "--graph", graph, "--partition", part,
-            "--epsilon", "2/5", "--strategy", "exhaustive", "--out", out_file,
+            "--epsilon", "2/5", "--out", out_file,
         )
         assert code == 0
         assert out_file.read_text() == "0: 0\n1: 1\n2: 2\n3: 3\n"
@@ -221,6 +221,23 @@ class TestCheck:
         assert body["balance"]["balanced"] is False
         assert body["core_irregularity"] is None
 
+    def test_cutoff_out_of_range(self, tmp_path, capsys):
+        graph, part = write_single_edge(tmp_path)
+        argv = ["check", "--graph", graph, "--partition", part, "--epsilon", "2/5"]
+        for cutoff in (-1, 27, 500):
+            code, out, err = run(capsys, *argv, "--cutoff", cutoff)
+            assert code == 1 and out == ""
+            assert err == f"error: cutoff must be in 0..26, got {cutoff}\n"
+
+    def test_no_vertex_count_flag(self, tmp_path, capsys):
+        # check reads n from the partition file; only regularize takes --n
+        graph, part = write_single_edge(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", str(graph), "--partition", str(part),
+                  "--epsilon", "2/5", "--n", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 4" in capsys.readouterr().err
+
     def test_round_trip_consistency(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
         final = tmp_path / "final.txt"
@@ -233,17 +250,6 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--graph", graph, "--partition", final, "--epsilon", "2/5")
         assert code == 0
         assert json.loads(out)["verdict"] == "regular"
-
-
-def test_unknown_strategy_rejected(tmp_path, capsys):
-    graph = tmp_path / "g.txt"
-    graph.write_text("0 1\n")
-    try:
-        main(["check", "--graph", str(graph), "--partition", str(graph), "--epsilon", "1/4", "--strategy", "magic"])
-    except SystemExit as exc:
-        assert exc.code == 2
-    else:
-        raise AssertionError("argparse should reject unknown strategies")
 
 
 def test_regularize_evaluates_energy_once_per_partition(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from regpart import (
     InvalidPartitionError,
     Partition,
     RegularityReport,
-    TooLargeError,
     TowerBound,
     UnequalSizesError,
     VertexSet,
@@ -111,13 +110,6 @@ class TestRegularize:
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
-
-    def test_cutoff_reaches_exhaustive_check(self):
-        # the first checked pair is the one class against itself: 8 + 8
-        g = gnp(8, "1/2", 3)
-        regularize(g, None, Fraction(1, 4), strategy="exhaustive", cutoff=16)
-        with pytest.raises(TooLargeError, match="cutoff 15"):
-            regularize(g, None, Fraction(1, 4), strategy="exhaustive", cutoff=15)
 
     def test_cutoff_routes_auto_to_heuristic(self):
         # an edgeless pair is certified by the exhaustive tier; the

@@ -155,7 +155,7 @@ class TestIrregularityRefine:
     def test_worked_example(self):
         g, p = self.single_edge()
         eps = Fraction(2, 5)
-        rep = check_partition(g, p, eps, strategy="exhaustive")
+        rep = check_partition(g, p, eps)
         witnesses = rep.witnesses()
         assert rep.irregular_mass == 8
         q = irregularity_refine(g, p, eps, witnesses)
@@ -216,7 +216,7 @@ class TestIrregularityRefine:
             n = rng.randint(4, 14)
             g = random_graph(rng, n)
             p = random_partition(rng, n, max_classes=3)
-            rep = check_partition(g, p, Fraction(1, 4), strategy="exhaustive")
+            rep = check_partition(g, p, Fraction(1, 4))
             witnesses = rep.witnesses()
             if not witnesses:
                 continue

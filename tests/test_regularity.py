@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition
 from regpart import (
+    BadParamsError,
     EmptySetError,
     Graph,
     InvalidWitnessError,
     PairWitness,
     Partition,
+    RegularityReport,
     TooLargeError,
     VertexSet,
     check_pair_exhaustive,
@@ -123,8 +125,6 @@ class TestCheckPairExhaustive:
         j = VertexSet.from_iterable(range(14, 28), 30)
         with pytest.raises(TooLargeError):
             check_pair_exhaustive(g, i, j, Fraction(1, 4))
-        clf = check_pair_exhaustive(g, i, j, Fraction(1, 4), cutoff=28)
-        assert clf.kind == REGULAR_CERTIFIED
 
     def test_one_candidate_pair_needs_no_graph(self):
         class RowlessGraph:
@@ -143,11 +143,11 @@ class TestCheckPairExhaustive:
         i = VertexSet.from_iterable([0, 1], 28)
         j = VertexSet.from_iterable([2, 3], 28)
         assert check_pair_exhaustive(g, i, j, Fraction(1, 2)).kind == REGULAR_CERTIFIED
-        # the cutoff still wins: 14+14 at eps = 99/100 is one candidate too
+        # the size limit still wins: 14+14 at eps = 99/100 is one candidate too
         i = VertexSet.from_iterable(range(14), 28)
         j = VertexSet.from_iterable(range(14, 28), 28)
         with pytest.raises(TooLargeError):
-            classify_pair(g, i, j, Fraction(99, 100), strategy="exhaustive")
+            check_pair_exhaustive(g, i, j, Fraction(99, 100))
 
     def test_every_witness_validates(self):
         rng = random.Random(23)
@@ -292,18 +292,11 @@ class TestClassifyPair:
         clf = classify_pair(g, i, j, Fraction(1, 4))
         assert clf.kind == UNKNOWN_TREATED_AS_REGULAR
 
-    def test_bad_strategy(self):
-        g, p = single_edge()
-        with pytest.raises(ValueError):
-            classify_pair(g, p[0], p[1], 1, strategy="guess")
-        with pytest.raises(ValueError):
-            check_partition(g, p, 1, strategy="guess")
-
 
 class TestCheckPartition:
     def test_single_edge_report(self):
         g, p = single_edge()
-        rep = check_partition(g, p, Fraction(2, 5), strategy="exhaustive")
+        rep = check_partition(g, p, Fraction(2, 5))
         assert rep.verdict == VERDICT_IRREGULAR
         assert rep.irregular_mass == 8
         assert rep.threshold == Fraction(32, 5)
@@ -374,8 +367,47 @@ class TestCheckPartition:
         assert rep.verdict == VERDICT_REGULAR and rep.flagged == {}
         assert len(rep.classifications) == 900
 
+    def test_cutoff_zero_makes_no_exhaustive_call(self, monkeypatch):
+        # classes of 1, 2, 3 and 8: with cutoff 0 even the size-decided
+        # pairs go to the heuristic, which certifies nothing
+        calls = []
+        kernel = regularity.check_pair_exhaustive
 
-def reference_report(g, p, eps, strategy, cutoff):
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(regularity, "check_pair_exhaustive", counting)
+        g = gnp(14, Fraction(1, 2), seed=4)
+        p = Partition.from_sets([[0], [1, 2], [3, 4, 5], list(range(6, 14))], 14)
+        rep = check_partition(g, p, Fraction(1, 4), cutoff=0)
+        assert calls == []
+        assert sorted(rep.flagged) == [(a, b) for a in range(4) for b in range(a, 4)]
+        check_partition(g, p, Fraction(1, 4))
+        assert calls
+
+    def test_cutoff_range(self, monkeypatch):
+        g, p = single_edge()
+        for cutoff in (0, 26):
+            check_partition(g, p, Fraction(2, 5), cutoff=cutoff)
+        # rejected once per call, before any pair is classified
+        monkeypatch.setattr(regularity, "classify_pair", None)
+        for cutoff in (-1, 27):
+            with pytest.raises(BadParamsError, match=f"got {cutoff}"):
+                check_partition(g, p, Fraction(2, 5), cutoff=cutoff)
+
+    def test_report_rejects_keys_outside_its_pairs(self):
+        g, p = single_edge()
+        eps = Fraction(2, 5)
+        clf = check_partition(g, p, eps).flagged[(0, 1)]
+        assert RegularityReport(p, eps, {(0, 1): clf}).irregular_mass == 8
+        # a mirrored key or a class index past k would break mass and lookups
+        for key in ((1, 0), (0, 5), (-1, 0)):
+            with pytest.raises(InvalidWitnessError):
+                RegularityReport(p, eps, {key: clf})
+
+
+def reference_report(g, p, eps, cutoff):
     """The per-pair definition: classify_pair on every a <= b, mirrored onto (b, a).
 
     Returns (classifications, irregular_mass, verdict, witnesses, has_unknown);
@@ -383,7 +415,7 @@ def reference_report(g, p, eps, strategy, cutoff):
     """
     k = len(p)
     upper = {
-        (a, b): classify_pair(g, p[a], p[b], eps, strategy, cutoff)
+        (a, b): classify_pair(g, p[a], p[b], eps, cutoff)
         for a in range(k)
         for b in range(a, k)
     }
@@ -436,19 +468,12 @@ class TestCheckPartitionMatchesPerPair:
                 Fraction(1),
             ]
         ),
-        st.sampled_from(["auto", "exhaustive", "heuristic"]),
-        st.sampled_from([2, 4, 26]),
+        st.sampled_from([0, 2, 4, 26]),
     )
-    def test_same_report(self, graph_partition, eps, strategy, cutoff):
+    def test_same_report(self, graph_partition, eps, cutoff):
         g, p = graph_partition
-        try:
-            expected = reference_report(g, p, eps, strategy, cutoff)
-        except TooLargeError as exc:
-            with pytest.raises(TooLargeError) as caught:
-                check_partition(g, p, eps, strategy, cutoff)
-            assert str(caught.value) == str(exc)
-            return
-        rep = check_partition(g, p, eps, strategy, cutoff)
+        expected = reference_report(g, p, eps, cutoff)
+        rep = check_partition(g, p, eps, cutoff)
         full = rep.classifications
         assert list(full) == list(expected[0])
         assert (dict(full), rep.irregular_mass, rep.verdict) == expected[:3]
