@@ -27,7 +27,6 @@ from .errors import (
     NotSubsetError,
     RegPartError,
     TooLargeError,
-    UnequalSizesError,
 )
 from .generate import gnp, planted
 from .graph import (
@@ -83,7 +82,6 @@ __all__ = [
     "TooLargeError",
     "TowerBound",
     "TraceStep",
-    "UnequalSizesError",
     "VertexSet",
     "adjacent_pair_count",
     "as_fraction",

@@ -139,11 +139,9 @@ def cmd_check(args):
     g = load_edge_list(args.graph, n=p.ground_size)
     report = check_partition(g, p, eps, cutoff=args.cutoff)
     cert = is_balanced(p, eps)
-    bound = None
-    if cert.balanced and eps < 1:
-        bound = balanced_irregularity_bound(report, cert.core)
+    bound = balanced_irregularity_bound(report)
     payload = report_json(report)
-    payload["balance"] = balance_json(cert, p)
+    payload["balance"] = balance_json(cert)
     payload["core_irregularity"] = core_bound_json(bound) if bound else None
     _log(f"verdict {report.verdict}; balanced={cert.balanced}")
     _emit(payload)

@@ -12,15 +12,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BadEpsilonError,
-    EmptySetError,
-    InvalidPartitionError,
-    UnequalSizesError,
-)
+from .errors import InvalidPartitionError
 from .graph import Partition, energy, require_epsilon
 from .refine import balance_refine, is_balanced, irregularity_refine
-from .regularity import EXHAUSTIVE_CUTOFF, VERDICT_IRREGULAR, check_partition
+from .regularity import (
+    EXHAUSTIVE_CUTOFF,
+    VERDICT_IRREGULAR,
+    _require_cutoff,
+    check_partition,
+)
 
 # A finished run's status is the final verdict (regular or
 # heuristically_regular), or this marker when the class budget stopped it.
@@ -122,9 +122,11 @@ def regularize(
     classification finds no irregular excess, or with class_budget_exceeded
     when the next split would leave more than max_classes classes (the
     oversized partition is discarded; final keeps the last good one).
-    cutoff is passed to every check_partition call.
+    cutoff is checked up front, before the class budget can stop the run,
+    and passed to every check_partition call.
     """
     eps = require_epsilon(eps)
+    _require_cutoff(cutoff)
     if p0 is None:
         p0 = Partition.single(g.n)
     if p0.ground_size != g.n:
@@ -167,11 +169,9 @@ def regularize(
     trace.final_report = report
     verify_trace(trace, eps, n)
     if trace.status != STATUS_BUDGET:
-        cert = is_balanced(p, eps)
-        assert cert.balanced
-        if eps < 1:
-            result = balanced_irregularity_bound(report, cert.core)
-            assert result.holds
+        assert is_balanced(p, eps).balanced
+        result = balanced_irregularity_bound(report)
+        assert result is None or result.holds
     return trace
 
 
@@ -234,37 +234,28 @@ class CoreBoundResult:
     mass_within_threshold: bool
 
 
-def balanced_irregularity_bound(report, c):
-    """Count witnessed-irregular ordered pairs inside the equal-size core c.
+def balanced_irregularity_bound(report):
+    """Count witnessed-irregular ordered pairs inside the balance core.
 
-    c is a collection of classes of report.partition, all the same size, and
-    eps is report.eps. Returns the count s, the bound eps*(1-eps)**-2*|C|**2,
-    whether s is within it, and the mass comparison s*t**2 vs
-    report.threshold, the report's eps*n**2.
+    The core C and its class size t come from
+    is_balanced(report.partition, report.eps). Returns None when the bound
+    does not apply: the partition is not balanced, or eps >= 1. Otherwise
+    returns the count s, the bound eps*(1-eps)**-2*|C|**2, whether s is
+    within it, and the mass comparison s*t**2 vs report.threshold, the
+    report's eps*n**2.
     """
     eps = report.eps
-    if eps >= 1:
-        raise BadEpsilonError(f"bound degenerate for epsilon {eps} >= 1")
-    core = tuple(c)
-    if not core:
-        raise EmptySetError("core subcollection is empty")
-    sizes = {cls.size for cls in core}
-    if len(sizes) != 1:
-        raise UnequalSizesError(f"core classes have sizes {sorted(sizes)}")
-    t = core[0].size
-    p = report.partition
-    index_of = {cls: idx for idx, cls in enumerate(p)}
-    core_idx = set()
-    for cls in core:
-        if cls not in index_of:
-            raise InvalidPartitionError(f"{cls!r} is not a class of the partition")
-        core_idx.add(index_of[cls])
+    cert = is_balanced(report.partition, eps)
+    if not cert.balanced or eps >= 1:
+        return None
+    core = set(cert.core)
     s = sum(
         1 if a == b else 2
         for a, b in report.witnesses()
-        if a in core_idx and b in core_idx
+        if a in core and b in core
     )
-    k = len(core_idx)
+    k = len(core)
+    t = cert.class_size
     bound = eps * (1 - eps) ** -2 * k * k
     mass = s * t * t
     mass_limit = report.threshold

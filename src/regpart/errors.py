@@ -29,10 +29,6 @@ class NotSubsetError(RegPartError):
     """A set in a collection is not contained in the ground set being split."""
 
 
-class UnequalSizesError(RegPartError):
-    """A subcollection that must have equal-size members does not."""
-
-
 class BadParamsError(RegPartError):
     """Invalid generator or command parameters."""
 

@@ -217,13 +217,12 @@ def report_json(report):
     return body
 
 
-def balance_json(cert, p):
-    """BalanceCertificate as a JSON-ready dict; core given by class index."""
-    index_of = {cls: idx for idx, cls in enumerate(p)}
+def balance_json(cert):
+    """BalanceCertificate as a JSON-ready dict."""
     return {
         "balanced": cert.balanced,
         "class_size": cert.class_size,
-        "core": sorted(index_of[cls] for cls in cert.core),
+        "core": list(cert.core),
         "covered": cert.covered,
         "leftover": cert.leftover,
         "limit": str(cert.limit),

@@ -21,9 +21,9 @@ from .regularity import validate_witness
 class BalanceCertificate:
     """Evidence for (or against) the balance of a partition.
 
-    core is the family of equal-size classes chosen to cover the graph;
-    balanced holds when the vertices outside the core number at most
-    limit = eps * n.
+    core lists, in ascending order, the indices of the equal-size classes
+    chosen to cover the graph; balanced holds when the vertices outside the
+    core number at most limit = eps * n.
     """
 
     balanced: bool
@@ -44,8 +44,8 @@ def is_balanced(p, eps):
     eps = require_epsilon(eps)
     n = p.ground_size
     by_size = {}
-    for cls in p:
-        by_size.setdefault(cls.size, []).append(cls)
+    for idx, cls in enumerate(p):
+        by_size.setdefault(cls.size, []).append(idx)
     best_size = min(
         by_size, key=lambda s: (-s * len(by_size[s]), s)
     )
@@ -98,29 +98,19 @@ def atom_partition(s, sets):
     Atoms come out sorted by smallest member; with c distinct sets there are
     at most 2**c of them. Raises NotSubsetError if some set leaks outside s.
     """
-    distinct = []
-    seen = set()
+    distinct = set()
+    atoms = [s.mask] if s.mask else []
     for x in sets:
         if not x.issubset(s):
             raise NotSubsetError(f"{x!r} is not contained in {s!r}")
-        if x.mask not in seen:
-            seen.add(x.mask)
-            distinct.append(x)
-    if s.size == 0:
-        return []
-    groups = {}
-    for v in s.members():
-        bit = 1 << v
-        signature = 0
-        for idx, x in enumerate(distinct):
-            if x.mask & bit:
-                signature |= 1 << idx
-        groups.setdefault(signature, 0)
-        groups[signature] |= bit
-    atoms = [VertexSet(mask, s.capacity) for mask in groups.values()]
-    atoms.sort(key=lambda a: a.mask & -a.mask)
+        if x.mask not in distinct:
+            distinct.add(x.mask)
+            atoms = [
+                part for a in atoms for part in (a & x.mask, a & ~x.mask) if part
+            ]
+    atoms.sort(key=lambda a: a & -a)
     assert len(atoms) <= 2 ** len(distinct)
-    return atoms
+    return [VertexSet(a, s.capacity) for a in atoms]
 
 
 def witness_increment(witness):
@@ -150,15 +140,12 @@ def irregularity_refine(g, p, eps, witnesses):
         raise InvalidPartitionError("partition does not match the graph")
     k = len(p)
     eps4 = eps**4
+    per_class = [[] for _ in range(k)]
     for (a, b), w in sorted(witnesses.items()):
         if not (0 <= a < k and 0 <= b < k):
             raise InvalidWitnessError(f"witness key ({a}, {b}) out of range")
         validate_witness(g, p[a], p[b], eps, w)
         assert witness_increment(w) > eps4 * p[a].size * p[b].size
-
-    per_class = [[] for _ in range(k)]
-    for (a, b) in sorted(witnesses):
-        w = witnesses[(a, b)]
         per_class[a].append(w.x)
         per_class[b].append(w.y)
 

@@ -350,6 +350,11 @@ class RegularityReport:
         return any(c.kind == UNKNOWN_TREATED_AS_REGULAR for c in self.flagged.values())
 
 
+def _require_cutoff(cutoff):
+    if not 0 <= cutoff <= EXHAUSTIVE_CUTOFF:
+        raise BadParamsError(f"cutoff must be in 0..{EXHAUSTIVE_CUTOFF}, got {cutoff}")
+
+
 def check_partition(g, p, eps, cutoff=EXHAUSTIVE_CUTOFF):
     """Classify every class pair of p (diagonal included), each a <= b once.
 
@@ -360,8 +365,7 @@ def check_partition(g, p, eps, cutoff=EXHAUSTIVE_CUTOFF):
     error raised is the one a walk over every pair would raise.
     """
     eps = require_epsilon(eps)
-    if not 0 <= cutoff <= EXHAUSTIVE_CUTOFF:
-        raise BadParamsError(f"cutoff must be in 0..{EXHAUSTIVE_CUTOFF}, got {cutoff}")
+    _require_cutoff(cutoff)
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     lo = {c.size: _min_qualifying_size(eps, c.size) for c in p}

@@ -328,22 +328,19 @@ def test_criterion_09_core_bound(capsys):
     with announce(capsys, 9, desc):
         checked = 0
         for eps, n, trace in driver_battery():
-            cert = is_balanced(trace.final, eps)
-            if not cert.balanced or trace.final_report is None or eps >= 1:
+            if trace.final_report is None:
                 continue
-            out = balanced_irregularity_bound(trace.final_report, cert.core)
+            out = balanced_irregularity_bound(trace.final_report)
+            if out is None:
+                continue
             assert out.holds
             checked += 1
         assert checked >= 8
         # hand arithmetic: eps=1/10, |C|=10, t=2, n=21
-        rep12 = fabricated_report(12)
-        core = [cls for cls in rep12.partition if cls.size == 2]
-        out12 = balanced_irregularity_bound(rep12, core)
+        out12 = balanced_irregularity_bound(fabricated_report(12))
         assert out12.bound == Fraction(1000, 81)
         assert out12.holds
-        rep13 = fabricated_report(13)
-        core = [cls for cls in rep13.partition if cls.size == 2]
-        assert not balanced_irregularity_bound(rep13, core).holds
+        assert not balanced_irregularity_bound(fabricated_report(13)).holds
 
 
 def _cli_planted_run(workdir):

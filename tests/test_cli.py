@@ -161,6 +161,17 @@ class TestRegularize:
         code, out, _ = run(capsys, *argv, "--cutoff", 15)
         assert (code, json.loads(out)["status"]) == (2, "heuristically_regular")
 
+    def test_bad_cutoff_before_budget_stop(self, tmp_path, capsys):
+        # --max-classes 0 stops the run before any pair is checked
+        graph = tmp_path / "g.txt"
+        graph.write_text("")
+        code, out, err = run(
+            capsys, "regularize", "--graph", graph, "--n", 10, "--epsilon", "1/4",
+            "--cutoff", 500, "--max-classes", 0,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: cutoff must be in 0..26, got 500\n"
+
     def test_bad_epsilon(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
         for eps in ("0", "1e-3", "junk"):
@@ -513,3 +524,107 @@ def test_golden_cli_output(tmp_path, capsys, case):
     assert got == stdout
     assert trace_path.read_bytes() == trace.encode()
     assert out_path.read_bytes() == out.encode()
+
+
+def _witnessed(a, b, x, y, d_xy, d_ij):
+    witness = {"x": x, "y": y, "d_xy": d_xy, "d_ij": d_ij}
+    return {"pair": [a, b], "kind": "irregular_witnessed", "witness": witness}
+
+
+def _unknown(a, b):
+    return {"pair": [a, b], "kind": "unknown_treated_as_regular"}
+
+
+GNP40_FOUR = [list(range(10 * k, 10 * k + 10)) for k in range(4)]
+GNP40_TWO = [list(range(30)), list(range(30, 40))]
+
+# check on gnp(40, 1/2, seed 5): (classes, epsilon, exit code, the JSON
+# fields that follow n, epsilon, num_classes and classes)
+GOLDEN_CHECK_CASES = {
+    # a balanced core of four classes with every ordered pair witnessed
+    "four-eps1_5": (GNP40_FOUR, "1/5", 4, {
+        "verdict": "irregular",
+        "irregular_mass": 1600,
+        "threshold": "320",
+        "classifications": [
+            _witnessed(0, 0, [0, 1, 3, 4, 5, 6, 7, 8, 9], [0, 3, 7], "16/27", "19/50"),
+            _witnessed(0, 1, [0, 1, 2, 3, 4, 6, 7, 8, 9], [10, 15, 18], "4/27", "9/25"),
+            _witnessed(0, 2, [0, 1, 2, 5, 6, 7, 8, 9], [21, 23, 26, 28], "19/32", "39/100"),
+            _witnessed(0, 3, [0, 1, 2, 3, 4, 5, 6, 7, 9], [31, 36, 38], "7/9", "57/100"),
+            _witnessed(1, 0, [10, 15, 18], [0, 1, 2, 3, 4, 6, 7, 8, 9], "4/27", "9/25"),
+            _witnessed(1, 1, [10, 11, 13, 14, 15, 16, 17, 18, 19], [11, 13, 14, 15], "1/6", "19/50"),
+            _witnessed(1, 2, [10, 11, 13, 14, 15, 16, 17, 18], [20, 21, 28], "19/24", "29/50"),
+            _witnessed(1, 3, [10, 11, 12, 13, 14, 15, 16, 17, 18], [30, 31, 32, 37], "7/9", "57/100"),
+            _witnessed(2, 0, [21, 23, 26, 28], [0, 1, 2, 5, 6, 7, 8, 9], "19/32", "39/100"),
+            _witnessed(2, 1, [20, 21, 28], [10, 11, 13, 14, 15, 16, 17, 18], "19/24", "29/50"),
+            _witnessed(2, 2, [20, 21, 22, 23, 24, 25, 26, 27, 28], [20, 21, 23, 25], "5/18", "12/25"),
+            _witnessed(2, 3, [20, 21, 22, 23, 24, 25, 26, 29], [30, 32, 34], "17/24", "1/2"),
+            _witnessed(3, 0, [31, 36, 38], [0, 1, 2, 3, 4, 5, 6, 7, 9], "7/9", "57/100"),
+            _witnessed(3, 1, [30, 31, 32, 37], [10, 11, 12, 13, 14, 15, 16, 17, 18], "7/9", "57/100"),
+            _witnessed(3, 2, [30, 32, 34], [20, 21, 22, 23, 24, 25, 26, 29], "17/24", "1/2"),
+            _witnessed(3, 3, [30, 31, 32, 33, 34, 35, 36, 37, 39], [32, 36, 37], "2/9", "11/25"),
+        ],
+        "balance": {
+            "balanced": True, "class_size": 10, "core": [0, 1, 2, 3],
+            "covered": 40, "leftover": 0, "limit": "8",
+        },
+        "core_irregularity": {
+            "irregular_pairs": 16, "core_size": 4, "class_size": 10, "bound": "5",
+            "holds": False, "mass": 1600, "mass_limit": "320",
+            "mass_within_threshold": False,
+        },
+    }),
+    # the class of 30 is the core, and the class of 10 left over is too many
+    "two-eps1_5": (GNP40_TWO, "1/5", 4, {
+        "verdict": "heuristically_regular",
+        "irregular_mass": 100,
+        "threshold": "320",
+        "classifications": [
+            _unknown(0, 0),
+            _unknown(0, 1),
+            _unknown(1, 0),
+            _witnessed(1, 1, [30, 31, 32, 33, 34, 35, 36, 37, 39], [32, 36, 37], "2/9", "11/25"),
+        ],
+        "balance": {
+            "balanced": False, "class_size": 30, "core": [0],
+            "covered": 30, "leftover": 10, "limit": "8",
+        },
+        "core_irregularity": None,
+    }),
+    # the same classes balanced: the core leaves out the witnessed class 1
+    "two-eps1_3": (GNP40_TWO, "1/3", 2, {
+        "verdict": "heuristically_regular",
+        "irregular_mass": 100,
+        "threshold": "1600/3",
+        "classifications": [
+            _unknown(0, 0),
+            _unknown(0, 1),
+            _unknown(1, 0),
+            _witnessed(1, 1, [30, 31, 32, 33, 37], [31, 32, 33, 37], "1/10", "11/25"),
+        ],
+        "balance": {
+            "balanced": True, "class_size": 30, "core": [0],
+            "covered": 30, "leftover": 10, "limit": "40/3",
+        },
+        "core_irregularity": {
+            "irregular_pairs": 0, "core_size": 1, "class_size": 30, "bound": "3/4",
+            "holds": True, "mass": 0, "mass_limit": "1600/3",
+            "mass_within_threshold": True,
+        },
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CHECK_CASES))
+def test_golden_check_output(tmp_path, capsys, case):
+    classes, eps, exit_code, fields = GOLDEN_CHECK_CASES[case]
+    graph = tmp_path / "g.txt"
+    code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", 40, "--p", "1/2", "--seed", 5, "--out", graph)
+    assert code == 0
+    part = tmp_path / "p.txt"
+    part.write_text("".join(f"{i}: {' '.join(map(str, c))}\n" for i, c in enumerate(classes)))
+    code, got, err = run(capsys, "check", "--graph", graph, "--partition", part, "--epsilon", eps)
+    head = {"n": 40, "epsilon": eps, "num_classes": len(classes), "classes": classes}
+    assert code == exit_code
+    assert got == json.dumps({**head, **fields}, indent=2) + "\n"
+    assert err == f"verdict {fields['verdict']}; balanced={fields['balance']['balanced']}\n"

@@ -8,14 +8,12 @@ import pytest
 from conftest import random_graph
 from regpart import (
     BadEpsilonError,
-    EmptySetError,
+    BadParamsError,
     Graph,
     InvalidPartitionError,
     Partition,
     RegularityReport,
     TowerBound,
-    UnequalSizesError,
-    VertexSet,
     balanced_irregularity_bound,
     is_balanced,
     regularize,
@@ -110,6 +108,11 @@ class TestRegularize:
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
+
+    def test_bad_cutoff_before_budget_stop(self):
+        # max_classes=0 stops the run before any check_partition call
+        with pytest.raises(BadParamsError):
+            regularize(Graph.empty(10), None, Fraction(1, 4), cutoff=500, max_classes=0)
 
     def test_cutoff_routes_auto_to_heuristic(self):
         # an edgeless pair is certified by the exhaustive tier; the
@@ -217,12 +220,9 @@ def fabricated_report(num_irregular):
 
 
 class TestBalancedIrregularityBound:
-    def core_of(self, report):
-        return [cls for cls in report.partition if cls.size == 2]
-
     def test_hand_case_true(self):
         rep = fabricated_report(12)
-        out = balanced_irregularity_bound(rep, self.core_of(rep))
+        out = balanced_irregularity_bound(rep)
         assert rep.irregular_mass == 48
         assert out.irregular_pairs == 12
         assert out.core_size == 10
@@ -236,45 +236,34 @@ class TestBalancedIrregularityBound:
 
     def test_hand_case_false(self):
         rep = fabricated_report(13)
-        out = balanced_irregularity_bound(rep, self.core_of(rep))
+        out = balanced_irregularity_bound(rep)
         assert not out.holds
 
     def test_zero_irregular_always_holds(self):
         rep = fabricated_report(0)
-        out = balanced_irregularity_bound(rep, self.core_of(rep))
+        out = balanced_irregularity_bound(rep)
         assert out.holds and out.irregular_pairs == 0
-
-    def test_unequal_sizes(self):
-        rep = fabricated_report(0)
-        with pytest.raises(UnequalSizesError):
-            balanced_irregularity_bound(rep, list(rep.partition))
 
     def test_degenerate_epsilon(self):
         rep = dataclasses.replace(fabricated_report(0), eps=Fraction(1))
-        with pytest.raises(BadEpsilonError):
-            balanced_irregularity_bound(rep, self.core_of(rep))
+        assert balanced_irregularity_bound(rep) is None
 
-    def test_empty_core(self):
-        rep = fabricated_report(0)
-        with pytest.raises(EmptySetError):
-            balanced_irregularity_bound(rep, [])
-
-    def test_foreign_class(self):
-        rep = fabricated_report(0)
-        alien = [VertexSet.from_iterable([0, 2], 21), VertexSet.from_iterable([1, 3], 21)]
-        with pytest.raises(InvalidPartitionError):
-            balanced_irregularity_bound(rep, alien)
+    def test_unbalanced_gives_none(self):
+        # eleven singletons outcover the class of 10, which is left over
+        sets = [list(range(10))] + [[v] for v in range(10, 21)]
+        p = Partition.from_sets(sets, 21)
+        rep = RegularityReport(partition=p, eps=Fraction(1, 10), flagged={})
+        assert balanced_irregularity_bound(rep) is None
 
     def test_counts_only_core_pairs(self):
+        # class 10 is the singleton outside the core: its witnessed pairs add
+        # to the irregular mass but not to the core count
         rep = fabricated_report(12)
-        # restrict the core to the first 3 classes: only marked pairs with
-        # both indices < 3 count
-        core = [rep.partition[k] for k in range(3)]
-        out = balanced_irregularity_bound(rep, core)
-        expected = sum(
-            1
-            for (a, b), clf in rep.classifications.items()
-            if clf.is_irregular and a < 3 and b < 3
-        )
-        assert out.irregular_pairs == expected == 4
-        assert out.core_size == 3
+        flagged = dict(rep.flagged)
+        for pair in [(0, 10), (10, 10)]:
+            flagged[pair] = PairClassification(IRREGULAR_WITNESSED, None)
+        rep = dataclasses.replace(rep, flagged=flagged)
+        out = balanced_irregularity_bound(rep)
+        assert rep.irregular_mass == 48 + 2 * 2 + 1
+        assert out.irregular_pairs == 12
+        assert out.core_size == 10

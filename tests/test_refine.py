@@ -33,6 +33,7 @@ class TestIsBalanced:
         assert cert.leftover == 0
         assert cert.class_size == 2
         assert len(cert.core) == 3
+        assert cert.core == (0, 1, 2)
 
     def test_covered_mass_maximized(self):
         # sizes 3, 1, 1: the single size-3 class covers more than the two 1s
@@ -99,6 +100,16 @@ class TestBalanceRefine:
             assert is_balanced(q, eps).leftover <= eps * n
 
 
+def signature_atoms(s, sets):
+    """Reference atoms: group the members of s by which sets contain them."""
+    groups = {}
+    for v in s.members():
+        signature = tuple(x.mask >> v & 1 for x in sets)
+        groups[signature] = groups.get(signature, 0) | 1 << v
+    masks = sorted(groups.values(), key=lambda m: m & -m)
+    return [VertexSet(m, s.capacity) for m in masks]
+
+
 class TestAtomPartition:
     def test_worked_example(self):
         s = VertexSet.from_iterable([1, 2, 3, 4, 5, 6], 7)
@@ -122,6 +133,18 @@ class TestAtomPartition:
         s = VertexSet.full(4)
         x = VertexSet.from_iterable([0, 1], 4)
         assert atom_partition(s, [x, x]) == atom_partition(s, [x])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_signature_grouping(self, data):
+        cap = data.draw(st.integers(0, 12))
+        s_mask = data.draw(st.integers(0, (1 << cap) - 1))
+        s = VertexSet(s_mask, cap)
+        # a small pool makes repeated sets likely; masking by s can empty one
+        pool = data.draw(st.lists(st.integers(0, (1 << cap) - 1), min_size=1, max_size=4))
+        masks = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        c = [VertexSet(m & s_mask, cap) for m in masks]
+        assert atom_partition(s, c) == signature_atoms(s, c)
 
     @settings(max_examples=60)
     @given(st.data())
