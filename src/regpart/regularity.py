@@ -2,8 +2,13 @@
 
 A pair (I, J) is epsilon-regular when every sub-pair (X, Y) with |X| > eps|I|
 and |Y| > eps|J| has |d(X,Y) - d(I,J)| <= eps. Irregularity is certified by a
-witness (X, Y) violating that bound; regularity of a pair is certified only by
-exhausting the search space. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
+witness (X, Y) violating that bound; regularity of a pair is certified by
+exhausting the search space at its smallest qualifying sizes. For a fixed Y,
+the largest d(X, Y) over the X of size s is the mean of the s largest
+per-vertex counts into Y, so it never rises as s grows, and the smallest never
+falls; the same holds with X and Y swapped. A violation at any sizes therefore
+implies one at the minimum sizes, and checking those alone is a complete proof
+of regularity. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
 for any pair of singletons, no sub-pair but (I, J) itself can qualify: the
 space holds at most that one candidate, whose gap is 0, and the pair is
 certified without reading the graph; check_partition applies this test once
@@ -141,24 +146,35 @@ def _first_pick_above(counts, size, bound):
 
 
 def check_pair_exhaustive(g, i, j, eps):
-    """Decide pair regularity by complete subset enumeration, in integers.
+    """Decide pair regularity by subset enumeration at the minimum sizes, in integers.
 
-    Enumerates candidate X by size descending, lexicographic within a size,
-    then Y-sizes descending, and returns the first violating sub-pair (X, Y),
-    Y lexicographically first among its size. With eps = en/ed and e_ij the
-    edge count of the pair, the bounds d(I,J) +- eps scaled by |X||Y| are
-    precomputed per size pair as integers: top = floor(hi |X||Y|) and
-    bottom = ceil(lo |X||Y|). Edge counts are integers, so e(X,Y) violates
-    exactly when e > top or e < bottom. For a fixed X, e(X,Y) is additive over
-    the members of Y, so the extreme counts of each Y-size are prefix sums of
-    the sorted per-vertex counts and decide whether any Y of that size
-    violates; the first violating Y is then built by greedy completion
-    instead of enumeration. No Fraction is formed until a witness is
-    returned. Returns RegularCertified only after the entire space of X is
-    exhausted. Two spaces are exhausted before any edge is counted: an empty
-    one, and the one-candidate space in which eps|I| < |X| forces X = I and
-    eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0. The
-    empty-side and size checks still come first, so a pair larger than
+    Let lo_x and lo_y be the least sizes above eps|I| and eps|J|. e(X, Y) is
+    additive over the members of either side, so for a fixed Y the largest
+    d(X, Y) over the X of one size is the mean of that many largest
+    per-vertex counts into Y: it never rises as the size grows, and the
+    smallest never falls. The same holds with X and Y swapped. Hence a pair
+    with a violating sub-pair has one with |X| = lo_x and |Y| = lo_y, the X
+    sizes with a violation form one range lo_x..s*, and for a fixed X some Y
+    violates exactly when the sum of the top or bottom lo_y per-vertex counts
+    (prefix sums of the sorted counts) leaves the band. With eps = en/ed and
+    e_ij the edge count of the pair, the band d(I,J) +- eps scaled by |X||Y|
+    is the integers top = floor(hi |X||Y|) and bottom = ceil(lo |X||Y|):
+    edge counts are integers, so e(X,Y) violates exactly when e > top or
+    e < bottom.
+
+    The search tests X = I first; if it violates, s* = |I|. Otherwise it
+    scans size lo_x in lexicographic order, and if no X there violates, the
+    pair is RegularCertified. Else it climbs one size at a time, keeps each
+    size's first violating X and stops at the first size with none. The
+    witness is the one a walk over X by size descending, lexicographic
+    within a size, meets first: the first violating X of size s*, then for
+    that X the largest Y size with a violation (Y sizes descending) and the
+    lexicographically first violating Y of that size, built by greedy
+    completion instead of enumeration. No Fraction is formed until a witness
+    is returned. Two spaces are exhausted before any edge is counted: an
+    empty one, and the one-candidate space in which eps|I| < |X| forces
+    X = I and eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
+    The empty-side and size checks still come first, so a pair larger than
     EXHAUSTIVE_CUTOFF raises TooLargeError whatever eps is.
     """
     eps = require_epsilon(eps)
@@ -184,41 +200,60 @@ def check_pair_exhaustive(g, i, j, eps):
     m_ij = i.size * j.size
     hi, lo, den = _band(e_ij, m_ij, eps)
 
-    for sx in range(i.size, lo_x - 1, -1):
-        bounds = [
-            (sy, hi * sx * sy // den, -(-lo * sx * sy // den))
-            for sy in range(j.size, lo_y - 1, -1)
-        ]
+    def bounds(sx, sy):
+        return hi * sx * sy // den, -(-lo * sx * sy // den)
+
+    def first_violating_x(sx):
+        """Mask of the lexicographically first X of size sx that some Y violates."""
+        top, bottom = bounds(sx, lo_y)
+        cut = total - lo_y
         for xs in combinations(bits_i, sx):
             x_mask = sum(xs)
-            counts = [(col & x_mask).bit_count() for col in cols]
-            prefix = list(accumulate(sorted(counts), initial=0))
-            e_x = prefix[total]
-            for sy, top, bottom in bounds:
-                above = e_x - prefix[total - sy] > top
-                below = prefix[sy] < bottom
-                if not (above or below):
-                    continue  # no Y of this size can violate
-                # the lexicographically first violator is the earlier of the
-                # first one above top and the first one below bottom
-                picks = []
-                if above:
-                    picks.append(_first_pick_above(counts, sy, top))
-                if below:
-                    picks.append(_first_pick_above([-c for c in counts], sy, -bottom))
-                pick = min(picks)
-                y = VertexSet.from_iterable((members_j[idx] for idx in pick), g.n)
-                d_xy = Fraction(sum(counts[idx] for idx in pick), sx * sy)
-                return PairClassification(
-                    IRREGULAR_WITNESSED,
-                    PairWitness(
-                        x=VertexSet(x_mask, g.n),
-                        y=y,
-                        d_xy=d_xy,
-                        d_ij=Fraction(e_ij, m_ij),
-                    ),
-                )
-    return _REGULAR
+            counts = sorted([(col & x_mask).bit_count() for col in cols])
+            if sum(counts[cut:]) > top or sum(counts[:lo_y]) < bottom:
+                return x_mask
+        return None
+
+    sx = i.size
+    x_mask = first_violating_x(sx)
+    if x_mask is None:
+        sx = lo_x
+        x_mask = first_violating_x(sx)
+        if x_mask is None:
+            return _REGULAR
+        while sx + 1 < i.size and (wider := first_violating_x(sx + 1)) is not None:
+            sx, x_mask = sx + 1, wider
+
+    counts = [(col & x_mask).bit_count() for col in cols]
+    prefix = list(accumulate(sorted(counts), initial=0))
+    e_x = prefix[total]
+    for sy in range(j.size, lo_y - 1, -1):
+        top, bottom = bounds(sx, sy)
+        above = e_x - prefix[total - sy] > top
+        below = prefix[sy] < bottom
+        if not (above or below):
+            continue  # no Y of this size can violate
+        # the lexicographically first violator is the earlier of the first
+        # one above top and the first one below bottom
+        picks = []
+        if above:
+            picks.append(_first_pick_above(counts, sy, top))
+        if below:
+            picks.append(_first_pick_above([-c for c in counts], sy, -bottom))
+        pick = min(picks)
+        y = VertexSet.from_iterable((members_j[idx] for idx in pick), g.n)
+        d_xy = Fraction(sum(counts[idx] for idx in pick), sx * sy)
+        return PairClassification(
+            IRREGULAR_WITNESSED,
+            PairWitness(
+                x=VertexSet(x_mask, g.n),
+                y=y,
+                d_xy=d_xy,
+                d_ij=Fraction(e_ij, m_ij),
+            ),
+        )
+    # an explicit raise, not an assert, so that python -O keeps the check
+    raise AssertionError(f"X of size {sx} violated at |Y| = {lo_y} but not on re-check")
 
 
 def find_witness_heuristic(g, i, j, eps):

@@ -157,18 +157,22 @@ class TestPythagoras:
 
 @st.composite
 def capped_pairs(draw):
-    """A random graph with a disjoint class pair: one side up to the oracle's
-    cap of 12, the two sides 14 vertices at most, either side the larger."""
-    big = draw(st.integers(1, MAX_BRUTE_SIDE))
-    small = draw(st.integers(1, min(big, 14 - big)))
-    a, b = (big, small) if draw(st.booleans()) else (small, big)
+    """A random graph with a class pair. Either disjoint, one side up to the
+    oracle's cap of 12, the two sides 14 vertices at most, either side the
+    larger; or diagonal, I = J with 1 to 7 vertices, so X and Y overlap."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 7)), 0
+    else:
+        big = draw(st.integers(1, MAX_BRUTE_SIDE))
+        small = draw(st.integers(1, min(big, 14 - big)))
+        a, b = (big, small) if draw(st.booleans()) else (small, big)
     n = a + b
     order = draw(st.permutations(range(n)))
     pairs = list(combinations(range(n), 2))
     adjacent = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
     i = VertexSet.from_iterable(order[:a], n)
-    j = VertexSet.from_iterable(order[a:], n)
+    j = i if b == 0 else VertexSet.from_iterable(order[a:], n)
     return g, i, j
 
 

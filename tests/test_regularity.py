@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -98,6 +99,33 @@ class TestCheckPairExhaustive:
         assert w.y.members() == (2,)
         assert w.d_xy == 1
         assert w.d_ij == Fraction(1, 4)
+
+    def test_witness_between_min_and_full_size(self):
+        # one edge from I = {0..3} to J = {4, 5} at eps = 1/8: X = I stays in
+        # the band (d(I, {4}) = 1/4 against d(I, J) = 1/8), every |X| >= 1
+        # qualifies, and the largest violating X size is 3, strictly between
+        # the minimum 1 and |I|; the first such X is {0, 1, 2}
+        g = Graph.from_edges(6, [(0, 4)])
+        i = VertexSet.from_iterable(range(4), 6)
+        j = VertexSet.from_iterable([4, 5], 6)
+        eps = Fraction(1, 8)
+        clf = check_pair_exhaustive(g, i, j, eps)
+        assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
+        w = clf.witness
+        assert (w.x.members(), w.y.members()) == ((0, 1, 2), (4,))
+        assert (w.d_xy, w.d_ij) == (Fraction(1, 3), Fraction(1, 8))
+
+    def test_skewed_regular_pair_within_time_budget(self):
+        # complete 20+4 at eps = 1/4: certified from X of size 6 alone,
+        # not from every X size between 6 and 20
+        g = Graph.complete(24)
+        i = VertexSet.from_iterable(range(20), 24)
+        j = VertexSet.from_iterable(range(20, 24), 24)
+        start = time.perf_counter()
+        clf = check_pair_exhaustive(g, i, j, Fraction(1, 4))
+        elapsed = time.perf_counter() - start
+        assert clf.kind == REGULAR_CERTIFIED
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
     def test_single_edge_larger_eps_regular(self):
         # at eps = 3/5 only the full sub-pair qualifies, gap 0
@@ -200,10 +228,17 @@ def classification_key(clf):
 
 @st.composite
 def class_pairs(draw):
-    """A graph with a disjoint or diagonal class pair, sides of 1 to 8."""
-    a = draw(st.integers(1, 8))
-    diagonal = draw(st.booleans())
-    b = 0 if diagonal else draw(st.integers(1, 8))
+    """A graph with a class pair: disjoint or diagonal with sides of 1 to 8, or
+    skewed, one side of 1 to 12 and the other of 1 to 3, either one first."""
+    shape = draw(st.sampled_from(["disjoint", "diagonal", "skewed"]))
+    diagonal = shape == "diagonal"
+    if shape == "skewed":
+        a, b = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        a = draw(st.integers(1, 8))
+        b = 0 if diagonal else draw(st.integers(1, 8))
     n = a + b
     order = draw(st.permutations(range(n)))
     pairs = list(combinations(range(n), 2))
