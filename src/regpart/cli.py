@@ -23,14 +23,13 @@ from .errors import BadParamsError, RegPartError
 from .generate import gnp, planted
 from .graph import energy, require_epsilon
 from .io import (
-    balance_json,
-    core_bound_json,
     dump_edge_list,
     dump_partition,
     dump_trace_csv,
     dump_trace_json,
     load_edge_list,
     load_partition,
+    plain,
     report_json,
 )
 from .refine import is_balanced
@@ -124,10 +123,10 @@ def cmd_regularize(args):
             "num_classes": len(trace.final),
             # The last step recorded the final partition's energy; a run
             # stopped by the budget before its first check recorded none.
-            "energy": str(
+            "energy": plain(
                 trace.steps[-1].energy if trace.steps else energy(g, trace.final)
             ),
-            "final": [list(c.members()) for c in trace.final],
+            "final": plain(trace.final),
         }
     )
     return _REGULARIZE_EXIT[trace.status]
@@ -141,8 +140,8 @@ def cmd_check(args):
     cert = is_balanced(p, eps)
     bound = balanced_irregularity_bound(report)
     payload = report_json(report)
-    payload["balance"] = balance_json(cert)
-    payload["core_irregularity"] = core_bound_json(bound) if bound else None
+    payload["balance"] = plain(cert)
+    payload["core_irregularity"] = plain(bound)
     _log(f"verdict {report.verdict}; balanced={cert.balanced}")
     _emit(payload)
     if not cert.balanced:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidPartitionError
+from .errors import InvalidPartitionError, ensure
 from .graph import Partition, energy, require_epsilon
 from .refine import balance_refine, is_balanced, irregularity_refine
 from .regularity import (
@@ -89,23 +89,24 @@ def verify_trace(trace, eps, n):
     prev = None
     all_heavy = True
     for step in trace.steps:
-        assert step.energy <= n_sq
+        ensure(step.energy <= n_sq, "energy above n**2")
         if prev is not None:
-            assert step.energy >= prev.energy
+            ensure(step.energy >= prev.energy, "energy fell")
         if step.phase == PHASE_REFINE:
-            assert prev is not None and prev.phase == PHASE_BALANCE, (
-                "a refine step must follow a balance step"
+            ensure(
+                prev is not None and prev.phase == PHASE_BALANCE,
+                "a refine step must follow a balance step",
             )
             gain = step.energy - prev.energy
             if step.irregular_mass:
-                assert gain > eps4 * step.irregular_mass
+                ensure(gain > eps4 * step.irregular_mass, "gain <= eps**4 * mass")
             if step.irregular_mass > threshold:
-                assert gain > gain_floor
+                ensure(gain > gain_floor, "gain <= eps**5 * n**2")
             else:
                 all_heavy = False
         prev = step
     if all_heavy:
-        assert trace.refine_count <= math.floor((1 / eps) ** 5)
+        ensure(trace.refine_count <= math.floor((1 / eps) ** 5), "refines > eps**-5")
 
 
 def regularize(
@@ -169,9 +170,9 @@ def regularize(
     trace.final_report = report
     verify_trace(trace, eps, n)
     if trace.status != STATUS_BUDGET:
-        assert is_balanced(p, eps).balanced
+        ensure(is_balanced(p, eps).balanced, "final partition not balanced")
         result = balanced_irregularity_bound(report)
-        assert result is None or result.holds
+        ensure(result is None or result.holds, "core irregularity bound fails")
     return trace
 
 

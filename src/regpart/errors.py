@@ -1,4 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the internal-check helper."""
+
+
+def ensure(condition, message):
+    """Raise AssertionError, the sign of a bug in regpart, unless condition holds.
+
+    Unlike an assert statement, python -O does not strip this check.
+    """
+    if not condition:
+        raise AssertionError(message)
 
 
 class RegPartError(Exception):

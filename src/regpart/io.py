@@ -8,16 +8,18 @@ canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
 
 import csv
 import json
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 from .errors import FormatError
 from .graph import Graph, Partition, VertexSet
 
 
-# Edges with an endpoint at or above this, or at or above an explicit n, set
-# no bits while the file parses: they are kept as (u, v) -> line, so a
-# hostile vertex id allocates no huge row before a later line fault or the
-# range check can reject the file.
-_DEFERRED_VERTEX = 1 << 20
+# The largest vertex count an edge list may give. Edges with an endpoint at or
+# above this, or at or above an explicit n, set no bits while the file parses:
+# they are kept as (u, v) -> line, so a hostile vertex id allocates no huge row
+# before a later line fault, the range check or this limit rejects the file.
+_MAX_VERTICES = 1 << 20
 
 
 def load_edge_list(path, n=None):
@@ -32,9 +34,10 @@ def load_edge_list(path, n=None):
 
     The file is read once, setting bits of one row bitmask per vertex as it
     goes. A repeated edge is found by testing its bit, and only then are the
-    earlier lines scanned again to name the first copy.
+    earlier lines scanned again to name the first copy. A vertex count above
+    _MAX_VERTICES is rejected once the file has parsed.
     """
-    limit = _DEFERRED_VERTEX if n is None else min(n, _DEFERRED_VERTEX)
+    limit = _MAX_VERTICES if n is None else min(n, _MAX_VERTICES)
     rows = {}
     deferred = {}
     get = rows.get
@@ -87,15 +90,13 @@ def load_edge_list(path, n=None):
             raise FormatError(
                 f"vertex out of range for n={n}", path=path, line=lineno
             )
-    try:
-        table = [0] * n
-    except OverflowError:
-        raise FormatError(f"vertex count {n} is too large", path=path) from None
+    # Past this check no edge is deferred: each one has an endpoint at or above
+    # n, rejected above, or at or above _MAX_VERTICES, so n is larger.
+    if n > _MAX_VERTICES:
+        raise FormatError(f"vertex count {n} is too large", path=path)
+    table = [0] * n
     for u, row in rows.items():
         table[u] = row
-    for u, v in deferred:
-        table[u] |= 1 << v
-        table[v] |= 1 << u
     return Graph(table)
 
 
@@ -188,58 +189,43 @@ def dump_partition(p, path):
             fh.write(f"{k}: {' '.join(str(v) for v in cls.members())}\n")
 
 
-def witness_json(w):
-    return {
-        "x": list(w.x.members()),
-        "y": list(w.y.members()),
-        "d_xy": str(w.d_xy),
-        "d_ij": str(w.d_ij),
-    }
+def plain(value):
+    """value as JSON-ready data, the one encoding rule of every JSON artifact.
+
+    A Fraction becomes its canonical string, a VertexSet its sorted members,
+    a Partition the member lists of its classes, a tuple or list a list, and a
+    dataclass a dict of its fields in declaration order, each encoded in turn.
+    Anything else (int, bool, str, None) passes through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, VertexSet):
+        return list(value.members())
+    if isinstance(value, (Partition, tuple, list)):
+        return [plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def report_json(report):
     """RegularityReport as a JSON-ready dict, ordered pairs sorted."""
     body = {
         "n": report.partition.ground_size,
-        "epsilon": str(report.eps),
+        "epsilon": plain(report.eps),
         "num_classes": len(report.partition),
-        "classes": [list(c.members()) for c in report.partition],
+        "classes": plain(report.partition),
         "verdict": report.verdict,
         "irregular_mass": report.irregular_mass,
-        "threshold": str(report.threshold),
+        "threshold": plain(report.threshold),
         "classifications": [],
     }
     for pair, clf in report.classifications.items():  # row-major order is sorted order
         entry = {"pair": list(pair), "kind": clf.kind}
         if clf.witness is not None:
-            entry["witness"] = witness_json(clf.witness)
+            entry["witness"] = plain(clf.witness)
         body["classifications"].append(entry)
     return body
-
-
-def balance_json(cert):
-    """BalanceCertificate as a JSON-ready dict."""
-    return {
-        "balanced": cert.balanced,
-        "class_size": cert.class_size,
-        "core": list(cert.core),
-        "covered": cert.covered,
-        "leftover": cert.leftover,
-        "limit": str(cert.limit),
-    }
-
-
-def core_bound_json(result):
-    return {
-        "irregular_pairs": result.irregular_pairs,
-        "core_size": result.core_size,
-        "class_size": result.class_size,
-        "bound": str(result.bound),
-        "holds": result.holds,
-        "mass": result.mass,
-        "mass_limit": str(result.mass_limit),
-        "mass_within_threshold": result.mass_within_threshold,
-    }
 
 
 TRACE_CSV_COLUMNS = (
@@ -249,7 +235,6 @@ TRACE_CSV_COLUMNS = (
     "energy_num",
     "energy_den",
     "irregular_mass",
-    "witnessed_mass",
     "verdict",
 )
 
@@ -267,7 +252,6 @@ def dump_trace_csv(trace, path):
                     step.energy.numerator,
                     step.energy.denominator,
                     step.irregular_mass,
-                    step.irregular_mass,  # witnessed_mass column, same number
                     step.verdict,
                 ]
             )
@@ -275,20 +259,10 @@ def dump_trace_csv(trace, path):
 
 def trace_json(trace):
     return {
-        "steps": [
-            {
-                "phase": step.phase,
-                "num_classes": step.num_classes,
-                "energy": str(step.energy),
-                "irregular_mass": step.irregular_mass,
-                "witnessed_mass": step.irregular_mass,
-                "verdict": step.verdict,
-            }
-            for step in trace.steps
-        ],
+        "steps": plain(trace.steps),
         "refine_count": trace.refine_count,
         "status": trace.status,
-        "final": [list(c.members()) for c in trace.final],
+        "final": plain(trace.final),
     }
 
 

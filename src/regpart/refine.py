@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError
+from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError, ensure
 # energy is not called here; the name stays bound because bench/tests checks
 # that span tracing rebinds this module's copy.
 from .graph import Partition, VertexSet, energy, require_epsilon  # noqa: F401
@@ -27,8 +27,8 @@ class BalanceCertificate:
     """
 
     balanced: bool
-    core: tuple
     class_size: int
+    core: tuple
     covered: int
     leftover: int
     limit: Fraction
@@ -84,9 +84,9 @@ def balance_refine(p, eps):
                 VertexSet.from_iterable(members[start : start + chunk], n)
             )
     q = Partition(pieces)
-    assert q.refines(p)
-    assert len(q) <= (1 + 1 / eps) * len(p)
-    assert is_balanced(q, eps).balanced
+    ensure(q.refines(p), "balance split does not refine")
+    ensure(len(q) <= (1 + 1 / eps) * len(p), "balance split too fine")
+    ensure(is_balanced(q, eps).balanced, "balance split not balanced")
     return q
 
 
@@ -109,7 +109,7 @@ def atom_partition(s, sets):
                 part for a in atoms for part in (a & x.mask, a & ~x.mask) if part
             ]
     atoms.sort(key=lambda a: a & -a)
-    assert len(atoms) <= 2 ** len(distinct)
+    ensure(len(atoms) <= 2 ** len(distinct), "more atoms than 2**sets")
     return [VertexSet(a, s.capacity) for a in atoms]
 
 
@@ -145,7 +145,7 @@ def irregularity_refine(g, p, eps, witnesses):
         if not (0 <= a < k and 0 <= b < k):
             raise InvalidWitnessError(f"witness key ({a}, {b}) out of range")
         validate_witness(g, p[a], p[b], eps, w)
-        assert witness_increment(w) > eps4 * p[a].size * p[b].size
+        ensure(witness_increment(w) > eps4 * p[a].size * p[b].size, "small increment")
         per_class[a].append(w.x)
         per_class[b].append(w.y)
 
@@ -159,10 +159,10 @@ def irregularity_refine(g, p, eps, witnesses):
             for atom in atoms:
                 if atom.issubset(x):
                     covered |= atom.mask
-            assert covered == x.mask
+            ensure(covered == x.mask, "witness set not a union of atoms")
         pieces.extend(atoms)
     q = Partition(pieces)
 
-    assert q.refines(p)
-    assert len(q) <= k * 4**k
+    ensure(q.refines(p), "refinement does not refine")
+    ensure(len(q) <= k * 4**k, "more classes than k * 4**k")
     return q

@@ -138,16 +138,19 @@ class TestRegularize:
         [
             ("0 1000000000000000000000000000000\n", []),
             ("0 1\n", ["--n", "1000000000000000000000"]),
+            ("0 1048576\n", []),
+            ("", ["--n", "1048577"]),
         ],
     )
     def test_hostile_vertex_count(self, tmp_path, capsys, edges, extra):
         graph = tmp_path / "g.txt"
         graph.write_text(edges)
+        count = int(extra[1]) if extra else max(map(int, edges.split())) + 1
         code, out, err = run(capsys, "regularize", "--graph", graph, *extra, "--epsilon", "1/4")
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "vertex count 1000" in err
+        assert err.startswith("error: ") and f"vertex count {count} is too large" in err
         assert "Traceback" not in err
 
     def test_cutoff_flag(self, tmp_path, capsys):
@@ -305,7 +308,6 @@ GNP40_TRACE_HEAD = """\
       "num_classes": 1,
       "energy": "9409/25",
       "irregular_mass": 0,
-      "witnessed_mass": 0,
       "verdict": "heuristically_regular"
     }
   ],
@@ -453,12 +455,12 @@ GNP24_FINAL = """\
 """
 
 GNP24_TRACE = """\
-iter,phase,num_classes,energy_num,energy_den,irregular_mass,witnessed_mass,verdict
-0,balance,1,4225,36,576,576,irregular
-1,refine,4,807115,5929,576,576,irregular
-2,balance,13,162,1,452,452,irregular
-3,refine,24,260,1,452,452,irregular
-4,balance,24,260,1,0,0,regular
+iter,phase,num_classes,energy_num,energy_den,irregular_mass,verdict
+0,balance,1,4225,36,576,irregular
+1,refine,4,807115,5929,576,irregular
+2,balance,13,162,1,452,irregular
+3,refine,24,260,1,452,irregular
+4,balance,24,260,1,0,regular
 """
 
 GNP24_OUT = """\

@@ -1,11 +1,18 @@
+import ast
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_graph
+import regpart
 from regpart import (
     BadEpsilonError,
     BadParamsError,
@@ -174,6 +181,52 @@ class TestVerifyTrace:
         )
         with pytest.raises(AssertionError):
             verify_trace(trace, eps, 4)
+
+
+class TestChecksSurviveOptimize:
+    """python -O strips assert statements; the runtime certificates must stay."""
+
+    PACKAGE = Path(regpart.__file__).parent
+
+    def test_no_assert_statements(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(self.PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_forged_trace_caught_under_dash_o(self):
+        # the step swap of test_catches_energy_regression, run under -O; the
+        # child uses no assert of its own and exits 0 only if verify_trace raised
+        code = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            from regpart import Graph, Partition, regularize, verify_trace
+
+            if __debug__:
+                sys.exit("not running under -O")
+            g = Graph.from_edges(4, [(0, 2)])
+            p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
+            trace = regularize(g, p0, Fraction(2, 5))
+            trace.steps[1], trace.steps[2] = trace.steps[2], trace.steps[1]
+            try:
+                verify_trace(trace, Fraction(2, 5), 4)
+            except AssertionError:
+                sys.exit(0)
+            sys.exit("verify_trace accepted a forged trace")
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(self.PACKAGE.parent)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestTowerBound:

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regpart import FormatError, Graph, Partition, check_partition, regularize
+from regpart import io as regpart_io
 from regpart.io import (
     dump_edge_list,
     dump_partition,
     dump_trace_csv,
     load_edge_list,
     load_partition,
+    plain,
     report_json,
     trace_json,
-    witness_json,
 )
 
 
@@ -103,6 +104,22 @@ class TestEdgeList:
         path.write_text(f"0 {far}\nx y\n")
         with pytest.raises(FormatError, match="line 2: non-integer"):
             load_edge_list(path)
+
+    def test_vertex_count_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(regpart_io, "_MAX_VERTICES", 8)
+        path = tmp_path / "g.txt"
+        path.write_text("0 7\n")
+        assert load_edge_list(path).n == 8
+        path.write_text("0 8\n")
+        with pytest.raises(FormatError, match="vertex count 9 is too large"):
+            load_edge_list(path)
+        # vertex 8 is in range for n=9 but deferred: the limit still rejects it
+        with pytest.raises(FormatError, match="vertex count 9 is too large"):
+            load_edge_list(path, n=9)
+        path.write_text("")
+        assert load_edge_list(path, n=8).n == 8
+        with pytest.raises(FormatError, match="vertex count 9 is too large"):
+            load_edge_list(path, n=9)
 
 
 def reference_load_rows(path, n=None):
@@ -295,7 +312,7 @@ class TestReportJson:
     def test_witness_json_strings(self):
         g, p = single_edge_run()
         rep = check_partition(g, p, Fraction(2, 5))
-        w = witness_json(rep.witnesses()[(0, 1)])
+        w = plain(rep.witnesses()[(0, 1)])
         assert Fraction(w["d_xy"]) == 1
         assert Fraction(w["d_ij"]) == Fraction(1, 4)
 
@@ -307,10 +324,10 @@ class TestTrace:
         path = tmp_path / "t.csv"
         dump_trace_csv(trace, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,phase,num_classes,energy_num,energy_den,irregular_mass,witnessed_mass,verdict"
-        assert lines[1] == "0,balance,2,1,2,8,8,irregular"
-        assert lines[2] == "1,refine,4,2,1,8,8,irregular"
-        assert lines[3] == "2,balance,4,2,1,0,0,regular"
+        assert lines[0] == "iter,phase,num_classes,energy_num,energy_den,irregular_mass,verdict"
+        assert lines[1] == "0,balance,2,1,2,8,irregular"
+        assert lines[2] == "1,refine,4,2,1,8,irregular"
+        assert lines[3] == "2,balance,4,2,1,0,regular"
 
     def test_json_mirror(self):
         g, p = single_edge_run()
