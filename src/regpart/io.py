@@ -11,14 +11,14 @@ import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, ensure
 from .graph import Graph, Partition, VertexSet
 
 
-# The largest vertex count an edge list may give. Edges with an endpoint at or
-# above this, or at or above an explicit n, set no bits while the file parses:
-# they are kept as (u, v) -> line, so a hostile vertex id allocates no huge row
-# before a later line fault, the range check or this limit rejects the file.
+# The largest vertex count an edge list may give. load_edge_list allocates no
+# row and no table until the vertex ids have passed the range check and this
+# limit: a hostile id (10**30, or one just past the limit) costs only its
+# neighbour-list entry before the file is rejected.
 _MAX_VERTICES = 1 << 20
 
 
@@ -30,84 +30,118 @@ def load_edge_list(path, n=None):
     max endpoint + 1, which makes an empty file ambiguous: pass n for graphs
     that may have no edges or trailing isolated vertices. Vertices outside
     0..n-1 are reported only after the whole file has parsed, so a malformed
-    line anywhere wins over them.
+    line anywhere wins over them, and a vertex count above _MAX_VERTICES is
+    reported last.
 
-    The file is read once, setting bits of one row bitmask per vertex as it
-    goes. A repeated edge is found by testing its bit, and only then are the
-    earlier lines scanned again to name the first copy. A vertex count above
-    _MAX_VERTICES is rejected once the file has parsed.
+    The file is read once: each token is converted by int() on its first
+    sighting only, and each edge is appended to both endpoints' neighbour
+    lists. Only after the vertex ids pass the range and limit checks are the
+    table and each row bitmask built, once, from a bytearray of '0'/'1'
+    digits. Any fault sends the file to _raise_first_fault, which scans it
+    again line by line to name the error.
     """
-    limit = _MAX_VERTICES if n is None else min(n, _MAX_VERTICES)
-    rows = {}
-    deferred = {}
-    get = rows.get
+    ids = {}
+    adj = {}
+    get = ids.get
+    try:
+        with open(path) as fh:
+            for a, b in filter(None, map(str.split, fh)):
+                u, u_nbrs = get(a) or _sight(ids, adj, a)
+                v, v_nbrs = get(b) or _sight(ids, adj, b)
+                u_nbrs.append(v)
+                v_nbrs.append(u)
+    except ValueError:
+        _raise_first_fault(path, n)
+    top = max(adj, default=-1)
+    count = top + 1 if n is None else n
+    if (
+        (n is None and not adj)
+        or min(adj, default=0) < 0
+        or top >= count
+        or count > _MAX_VERTICES
+    ):
+        _raise_first_fault(path, n)
+    table = [0] * count
+    zeros = bytearray(b"0") * count
+    one = ord("1")
+    for u, nbrs in adj.items():
+        bits = zeros[:]
+        for v in nbrs:
+            bits[v] = one
+        # A repeated edge sets a bit twice, and so does a loop, which lists u
+        # in its own row once per endpoint.
+        if bits.count(one) != len(nbrs):
+            _raise_first_fault(path, n)
+        table[u] = int(bits[::-1], 2)
+    return Graph(table)
+
+
+def _sight(ids, adj, token):
+    """Map a token seen for the first time to (its vertex, the vertex's neighbours).
+
+    Spellings of one vertex ("7", "07", "+7") share one neighbour list.
+    """
+    u = int(token)
+    ids[token] = entry = u, adj.setdefault(u, [])
+    return entry
+
+
+def _raise_first_fault(path, n):
+    """Raise the FormatError of an edge file that load_edge_list rejected.
+
+    Scans the file line by line. The first line fault in file order wins
+    (a malformed line, a non-integer or negative vertex, a loop, a repeated
+    edge), then the first line with a vertex out of range for an explicit n,
+    then an empty file without n, then a vertex count above _MAX_VERTICES.
+    A file with none of these faults is a bug in the caller.
+    """
+    seen = {}
+    top = -1
+    far = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            text = raw.strip()
+            if len(parts) != 2:
+                raise FormatError(
+                    f"expected 'u v', got {text!r}", path=path, line=lineno
+                )
             try:
-                a, b = raw.split()
-                u, v = int(a), int(b)
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                text = raw.strip()
-                if not text:
-                    continue
-                if len(text.split()) != 2:
-                    raise FormatError(
-                        f"expected 'u v', got {text!r}", path=path, line=lineno
-                    ) from None
                 raise FormatError(
                     f"non-integer vertex in {text!r}", path=path, line=lineno
                 ) from None
             if u < 0 or v < 0:
                 raise FormatError(
-                    f"negative vertex in {raw.strip()!r}", path=path, line=lineno
+                    f"negative vertex in {text!r}", path=path, line=lineno
                 )
             if u == v:
                 raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
-            if u < limit and v < limit:
-                row = get(u, 0)
-                if not row >> v & 1:
-                    rows[u] = row | 1 << v
-                    rows[v] = get(v, 0) | 1 << u
-                    continue
-                first = _first_line_of(path, u, v)
-            else:
-                first = deferred.setdefault((u, v) if u < v else (v, u), lineno)
-                if first == lineno:
-                    continue
-            raise FormatError(
-                f"duplicate edge {u} {v} (first on line {first})",
-                path=path,
-                line=lineno,
-            )
+            key = (u, v) if u < v else (v, u)
+            first = seen.setdefault(key, lineno)
+            if first != lineno:
+                raise FormatError(
+                    f"duplicate edge {u} {v} (first on line {first})",
+                    path=path,
+                    line=lineno,
+                )
+            top = max(top, key[1])
+            if far is None and n is not None and key[1] >= n:
+                far = lineno
+    if far is not None:
+        raise FormatError(f"vertex out of range for n={n}", path=path, line=far)
     if n is None:
-        if not rows and not deferred:
+        if top < 0:
             raise FormatError(
                 "empty edge list needs an explicit vertex count", path=path
             )
-        n = max([*rows, *(v for _, v in deferred)]) + 1
-    for (u, v), lineno in deferred.items():
-        if v >= n:
-            raise FormatError(
-                f"vertex out of range for n={n}", path=path, line=lineno
-            )
-    # Past this check no edge is deferred: each one has an endpoint at or above
-    # n, rejected above, or at or above _MAX_VERTICES, so n is larger.
+        n = top + 1
     if n > _MAX_VERTICES:
         raise FormatError(f"vertex count {n} is too large", path=path)
-    table = [0] * n
-    for u, row in rows.items():
-        table[u] = row
-    return Graph(table)
-
-
-def _first_line_of(path, u, v):
-    """Line of the first "u v" or "v u" in a file whose earlier lines parsed."""
-    key = {u, v}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if parts and set(map(int, parts)) == key:
-                return lineno
+    ensure(False, f"{path}: load_edge_list rejected an edge list with no fault")
 
 
 def dump_edge_list(g, path):

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regpart import FormatError, Graph, Partition, check_partition, regularize
+from regpart import (
+    BadParamsError,
+    FormatError,
+    Graph,
+    Partition,
+    check_partition,
+    regularize,
+)
 from regpart import io as regpart_io
+from regpart.generate import gnp
 from regpart.io import (
     dump_edge_list,
     dump_partition,
@@ -27,6 +35,17 @@ class TestEdgeList:
         dump_edge_list(g, path)
         assert path.read_text() == "0 3\n1 2\n3 4\n"
         assert load_edge_list(path).rows == g.rows
+
+    @pytest.mark.parametrize("n", [300, None])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_any_line_order_and_orientation(self, tmp_path, reverse, swap, n):
+        # 300 vertices: rows span up to five 64-bit words
+        g = gnp(300, Fraction(1, 2), seed=5)
+        lines = [f"{v} {u}\n" if swap else f"{u} {v}\n" for u, v in g.edges()]
+        path = tmp_path / "g.txt"
+        path.write_text("".join(lines[::-1] if reverse else lines))
+        assert load_edge_list(path, n=n).rows == g.rows
 
     def test_explicit_n_allows_isolated_tail(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -113,13 +132,31 @@ class TestEdgeList:
         path.write_text("0 8\n")
         with pytest.raises(FormatError, match="vertex count 9 is too large"):
             load_edge_list(path)
-        # vertex 8 is in range for n=9 but deferred: the limit still rejects it
+        # vertex 8 is in range for n=9, but the limit still rejects it
         with pytest.raises(FormatError, match="vertex count 9 is too large"):
             load_edge_list(path, n=9)
         path.write_text("")
         assert load_edge_list(path, n=8).n == 8
         with pytest.raises(FormatError, match="vertex count 9 is too large"):
             load_edge_list(path, n=9)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [("0 1\n2 3\n", None), ("0 1\n", 4), ("", 3), ("\n\n", 1)],
+    )
+    def test_rescan_of_clean_file_is_a_bug(self, tmp_path, text, n):
+        # The rescan only names a fault load_edge_list found: on a clean file
+        # it neither returns nor makes up a FormatError.
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(AssertionError, match="no fault"):
+            regpart_io._raise_first_fault(path, n)
+
+    def test_no_vertices_is_not_a_file_fault(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("")
+        with pytest.raises(BadParamsError, match="at least one vertex"):
+            load_edge_list(path, n=0)
 
 
 def reference_load_rows(path, n=None):
@@ -228,10 +265,64 @@ def edge_files(draw):
     return text, n
 
 
+def spelled(draw, v):
+    return draw(st.sampled_from([str(v), f"0{v}", f"+{v}"]))
+
+
+@st.composite
+def multiword_edge_files(draw):
+    """An edge file over vertices 0..200 and an explicit n or None.
+
+    Rows span up to four 64-bit words. Each end of an edge line is spelled
+    "7", "07" or "+7", and the ends are separated by a space or a tab, so a
+    repeated edge (in either orientation) can be spelled differently from its
+    first copy. Some lines are odd. Half of the files keep only first copies
+    of proper edges, so most of those load.
+    """
+    lines = []  # (edge or None, text) in file order
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["repeat", "odd"]))
+        edges = [edge for edge, _ in lines if edge is not None]
+        if kind == "edge":
+            edge = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+        elif kind == "repeat" and edges:
+            edge = draw(st.sampled_from(edges))
+            edge = edge[::-1] if draw(st.booleans()) else edge
+        else:
+            lines.append((None, draw(st.sampled_from(ODD_LINES))))
+            continue
+        sep = draw(st.sampled_from([" ", "\t", " \t "]))
+        lines.append((edge, sep.join(spelled(draw, v) for v in edge)))
+    if draw(st.booleans()):
+        seen = set()
+        clean = []
+        for edge, text in lines:
+            if edge is not None and edge[0] != edge[1] and frozenset(edge) not in seen:
+                seen.add(frozenset(edge))
+                clean.append((edge, text))
+        lines = clean
+    far = any("2000000" in text for _, text in lines)
+    n = draw(st.sampled_from([150, 201] if far else [None, None, 150, 201, 256]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(text for _, text in lines)
+    return text + (newline if draw(st.booleans()) else ""), n
+
+
 class TestEdgeListMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(edge_files())
     def test_same_rows_or_same_error(self, case):
+        text, n = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_bytes(text.encode())
+            expected = load_outcome(reference_load_rows, path, n)
+            got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiword_edge_files())
+    def test_multiword_same_rows_or_same_error(self, case):
         text, n = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.txt"
