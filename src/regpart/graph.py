@@ -153,21 +153,41 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self.members()))}}}, n={self.capacity})"
 
 
+# _check_symmetric checks n x w bands of the adjacency matrix, with
+# w = min(n, max(_MIN_BAND_WIDTH, _BAND_CHARS // n)): a band string holds
+# _BAND_CHARS characters or fewer up to n = 16,384, and every n <= 1024 is one
+# band. Each band shifts every n-bit row once, so bands narrower than 64
+# columns would cost more time than the memory they save.
+_BAND_CHARS = 1 << 20
+_MIN_BAND_WIDTH = 64
+
+
 def _check_symmetric(rows):
     """Raise at the first pair u < v, in row-major order, with A[u][v] != A[v][u].
 
-    Works on 64-column blocks: each row's bits a..a+63 are formatted as a
-    bit string (index j = bit a+j), ``zip`` transposes the block, and column
-    a+j must equal row a+j's own bit string. String formatting, transposing
-    and comparing all run in C, and the extra memory is about 64 bytes per
-    vertex, not n^2 bits.
+    Works on bands of w columns (w as set by _BAND_CHARS and _MIN_BAND_WIDTH).
+    For columns a..a+w-1, each row's w-bit slice is formatted reversed (index
+    j = bit a+j) and the n slices are joined into one string, so column a+j is
+    the strided slice ``band[j::w]``; it must equal row a+j's own bit string.
+    When one band covers the matrix (w == n), the row strings are slices of
+    the band as well. Formatting, slicing and comparing all run in C, and the
+    extra memory is about two band strings, not n^2 bits.
     """
     n = len(rows)
+    w = min(n, max(_MIN_BAND_WIDTH, _BAND_CHARS // n))
     row_fmt = f"0{n}b"
-    for a in range(0, n, 64):
-        block = [format(r >> a & 0xFFFFFFFFFFFFFFFF, "064b")[::-1] for r in rows]
-        for u, column in zip(range(a, min(a + 64, n)), zip(*block)):
-            if "".join(column) != format(rows[u], row_fmt)[::-1]:
+    for a in range(0, n, w):
+        width = min(w, n - a)
+        mask = (1 << width) - 1
+        fmt = f"0{width}b"
+        band = "".join([format(r >> a & mask, fmt)[::-1] for r in rows])
+        for j in range(width):
+            u = a + j
+            if width == n:
+                row = band[u * n:(u + 1) * n]
+            else:
+                row = format(rows[u], row_fmt)[::-1]
+            if band[j::width] != row:
                 # u is the smallest vertex in any asymmetric pair, so every
                 # mismatch in its row lies at some v > u.
                 v = next(
@@ -180,9 +200,11 @@ def _check_symmetric(rows):
 class Graph:
     """Simple undirected graph on vertices 0..n-1; adjacency as row bitmasks.
 
-    The constructor rejects bits outside 0..n-1, loops and asymmetric rows;
-    the symmetry check compares 64-column blocks of the matrix with their
-    transposes (see ``_check_symmetric``).
+    The constructor is the one validation path for every caller, the edge-list
+    loader included: it rejects bits outside 0..n-1, loops and asymmetric
+    rows. The symmetry check compares bands of columns with the matching
+    rows (see ``_check_symmetric``); its time grows with n^2 or faster even
+    for a graph without edges.
     """
 
     __slots__ = ("n", "rows", "edge_count")
@@ -192,9 +214,8 @@ class Graph:
         n = len(rows)
         if n < 1:
             raise BadParamsError("graph needs at least one vertex")
-        full = (1 << n) - 1
         for u, row in enumerate(rows):
-            if row < 0 or row & ~full:
+            if row < 0 or row >> n:
                 raise BadParamsError(f"adjacency row {u} has bits outside 0..{n - 1}")
             if (row >> u) & 1:
                 raise BadParamsError(f"loop at vertex {u}")

@@ -120,16 +120,18 @@ def _raise_first_fault(path, n):
                 )
             if u == v:
                 raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
-            key = (u, v) if u < v else (v, u)
-            first = seen.setdefault(key, lineno)
+            lo, hi = (u, v) if u < v else (v, u)
+            # One int per edge, not a tuple: hi * (hi - 1) // 2 + lo is
+            # injective on pairs 0 <= lo < hi, the only pairs left here.
+            first = seen.setdefault(hi * (hi - 1) // 2 + lo, lineno)
             if first != lineno:
                 raise FormatError(
                     f"duplicate edge {u} {v} (first on line {first})",
                     path=path,
                     line=lineno,
                 )
-            top = max(top, key[1])
-            if far is None and n is not None and key[1] >= n:
+            top = max(top, hi)
+            if far is None and n is not None and hi >= n:
                 far = lineno
     if far is not None:
         raise FormatError(f"vertex out of range for n={n}", path=path, line=far)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from regpart import (
     energy,
     require_epsilon,
 )
+from regpart import graph as regpart_graph
 from regpart.errors import BadEpsilonError
 
 
@@ -130,6 +132,21 @@ class TestGraph:
         with pytest.raises(BadParamsError):
             Graph.from_edges(0, [])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([0b1000, 0, 0], "adjacency row 0 has bits outside 0..2"),
+            ([0, 1 << 100, 0], "adjacency row 1 has bits outside 0..2"),
+            ([0, 0, -1], "adjacency row 2 has bits outside 0..2"),
+            ([0, 0, -4], "adjacency row 2 has bits outside 0..2"),
+            ([0b110, 0b001, 0b101], "loop at vertex 2"),
+        ],
+    )
+    def test_rejects_bad_rows(self, rows, message):
+        with pytest.raises(BadParamsError) as info:
+            Graph(rows)
+        assert str(info.value) == message
+
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(BadParamsError):
             Graph([0b010, 0b000, 0b000])
@@ -155,13 +172,24 @@ def first_asymmetric_pair(rows):
     return None
 
 
-class TestSymmetryCheck:
-    """The blocked symmetry check in Graph agrees with the plain double loop.
+def bands(band_chars, min_width):
+    """Patch the symmetry check's band-size constants for a with block."""
+    return mock.patch.multiple(
+        regpart_graph, _BAND_CHARS=band_chars, _MIN_BAND_WIDTH=min_width
+    )
 
-    n runs past 64 so that pairs straddle the first 64-column block edge.
+
+class TestSymmetryCheck:
+    """The banded symmetry check in Graph agrees with the plain double loop.
+
+    Shrinking graph._BAND_CHARS (and the minimum band width) forces bands of
+    one column, of a small odd width and of any width up to n, with a ragged
+    last band whenever the width does not divide n, so asymmetric pairs fall
+    in different bands, in the same band, or straddle a band edge. The
+    default constants check every n here as one band.
     """
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_double_loop(self, data):
         n = data.draw(st.integers(1, 70), label="n")
@@ -177,21 +205,61 @@ class TestSymmetryCheck:
         for u, v in flips:
             if u != v:
                 rows[u] ^= 1 << v
-        expected = first_asymmetric_pair(rows)
-        if expected is None:
-            g = Graph(rows)
-            assert list(g.edges()) == [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (rows[u] >> v) & 1
-            ]
+        width = data.draw(
+            st.sampled_from([None, 1, 3]) | st.integers(1, n), label="width"
+        )
+        if width is None:
+            band_chars = regpart_graph._BAND_CHARS
+            min_width = regpart_graph._MIN_BAND_WIDTH
         else:
-            with pytest.raises(BadParamsError) as info:
+            # any value in [n * width, n * width + n) gives bands of `width`
+            slack = data.draw(st.integers(0, n - 1), label="slack")
+            band_chars = n * width + slack
+            min_width = 1
+        expected = first_asymmetric_pair(rows)
+        with bands(band_chars, min_width):
+            if expected is None:
+                g = Graph(rows)
+                assert list(g.edges()) == [
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if (rows[u] >> v) & 1
+                ]
+            else:
+                with pytest.raises(BadParamsError) as info:
+                    Graph(rows)
+                assert str(info.value) == (
+                    f"adjacency not symmetric at ({expected[0]}, {expected[1]})"
+                )
+
+    @pytest.mark.parametrize(
+        "band_chars, min_width", [(10, 1), (30, 1), (1, 4), (100, 1)]
+    )
+    def test_first_pair_wins_across_bands(self, band_chars, min_width):
+        # n = 10 in bands of 1, 3 (ragged: 3+3+3+1), 4 (4+4+2, set by the
+        # minimum width) and 10 columns; the two asymmetric pairs lie in
+        # different bands for every width below 10, and the later-listed one
+        # comes first in row order.
+        rows = list(Graph.empty(10).rows)
+        rows[9] ^= 1 << 7
+        rows[2] ^= 1 << 8
+        with bands(band_chars, min_width):
+            with pytest.raises(BadParamsError, match=r"symmetric at \(2, 8\)$"):
                 Graph(rows)
-            assert str(info.value) == (
-                f"adjacency not symmetric at ({expected[0]}, {expected[1]})"
-            )
+
+    def test_default_bands_past_1024_vertices(self):
+        # n = 1030 takes bands of 1018 columns and a ragged band of 12.
+        n = 1030
+        assert regpart_graph._BAND_CHARS // n == 1018
+        rows = list(Graph.complete(n).rows)
+        assert Graph(rows).edge_count == n * (n - 1) // 2
+        rows[1025] ^= 1 << 1029
+        with pytest.raises(BadParamsError, match=r"symmetric at \(1025, 1029\)$"):
+            Graph(rows)
+        rows[3] ^= 1 << 1020
+        with pytest.raises(BadParamsError, match=r"symmetric at \(3, 1020\)$"):
+            Graph(rows)
 
 
 class TestPartition:

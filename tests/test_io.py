@@ -103,6 +103,32 @@ class TestEdgeList:
         assert info.value.line == 4
         assert str(info.value).endswith("duplicate edge 0 1 (first on line 1)")
 
+    def test_rescan_keeps_distinct_edges_apart(self, tmp_path):
+        # Every edge on 0..11 once, so many share a sum, a product or a
+        # difference; the rescan that a far vertex on the last line forces
+        # must not take any of them for a repeat.
+        path = tmp_path / "g.txt"
+        pairs = [(u, v) for v in range(12) for u in range(v)]
+        lines = [f"{v} {u}" if (u + v) % 2 else f"{u} {v}" for u, v in pairs]
+        path.write_text("\n".join(lines + ["3 12"]) + "\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path, n=12)
+        assert info.value.line == len(pairs) + 1
+        assert str(info.value).endswith("vertex out of range for n=12")
+
+    @pytest.mark.parametrize("first", [1, 7, 40])
+    def test_rescan_names_first_line_of_reversed_repeat(self, tmp_path, first):
+        path = tmp_path / "g.txt"
+        pairs = [(u, v) for v in range(10) for u in range(v)]
+        u, v = pairs[first - 1]
+        path.write_text("".join(f"{a} {b}\n" for a, b in pairs) + f"{v} {u}\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert info.value.line == len(pairs) + 1
+        assert str(info.value).endswith(
+            f"duplicate edge {v} {u} (first on line {first})"
+        )
+
     def test_junk_line_wins_over_earlier_out_of_range(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 9\n1 2\nx y\n")
