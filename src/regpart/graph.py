@@ -1,9 +1,10 @@
 """Immutable graphs, bitset vertex sets, partitions, and exact density/energy.
 
 All quantities that the rest of the library compares against thresholds are
-exact, carried as ``fractions.Fraction`` or, in the pair-check kernels, as
-integer cross-multiplications of them: the regularity conditions are strict
-inequalities, so no floating point is allowed anywhere near a verdict.
+exact. The pair-check kernels and witness revalidation compare edge counts by
+integer cross-multiplication, and every reported quantity is still a
+``fractions.Fraction``: the regularity conditions are strict inequalities, so
+no floating point is allowed anywhere near a verdict.
 Vertex sets are plain integer bitmasks (bit v = vertex v), which keeps the
 density kernel a handful of ``&`` / ``bit_count`` operations.
 """
@@ -62,7 +63,7 @@ def require_epsilon(eps):
 class VertexSet:
     """Immutable subset of {0..capacity-1}, backed by an int bitmask."""
 
-    __slots__ = ("mask", "capacity", "size")
+    __slots__ = ("mask", "capacity", "size", "_members")
 
     def __init__(self, mask, capacity):
         if capacity < 0:
@@ -72,6 +73,7 @@ class VertexSet:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "size", mask.bit_count())
+        object.__setattr__(self, "_members", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexSet is immutable")
@@ -94,14 +96,16 @@ class VertexSet:
         return cls(0, capacity)
 
     def members(self):
-        """Member vertices in ascending order."""
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        """Member vertices in ascending order, as one tuple built on the first call."""
+        if self._members is None:
+            out = []
+            m = self.mask
+            while m:
+                low = m & -m
+                out.append(low.bit_length() - 1)
+                m ^= low
+            object.__setattr__(self, "_members", tuple(out))
+        return self._members
 
     def min_member(self):
         if not self.mask:

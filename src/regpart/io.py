@@ -33,12 +33,23 @@ def load_edge_list(path, n=None):
     line anywhere wins over them, and a vertex count above _MAX_VERTICES is
     reported last.
 
-    The file is read once: each token is converted by int() on its first
-    sighting only, and each edge is appended to both endpoints' neighbour
-    lists. Only after the vertex ids pass the range and limit checks are the
-    table and each row bitmask built, once, from a bytearray of '0'/'1'
-    digits. Any fault sends the file to _raise_first_fault, which scans it
-    again line by line to name the error.
+    A clean file is read once, by _read_rows. Any fault makes it return
+    None, and only then, with its tables released, does _raise_first_fault
+    scan the file again line by line to name the error.
+    """
+    table = _read_rows(path, n)
+    if table is None:
+        _raise_first_fault(path, n)
+    return Graph(table)
+
+
+def _read_rows(path, n):
+    """The adjacency row bitmasks of an edge file, or None if it has any fault.
+
+    Each token is converted by int() on its first sighting only, and each
+    edge is appended to both endpoints' neighbour lists. Only after the
+    vertex ids pass the range and limit checks are the table and each row
+    bitmask built, once, from a bytearray of '0'/'1' digits.
     """
     ids = {}
     adj = {}
@@ -51,7 +62,7 @@ def load_edge_list(path, n=None):
                 u_nbrs.append(v)
                 v_nbrs.append(u)
     except ValueError:
-        _raise_first_fault(path, n)
+        return None
     top = max(adj, default=-1)
     count = top + 1 if n is None else n
     if (
@@ -60,7 +71,7 @@ def load_edge_list(path, n=None):
         or top >= count
         or count > _MAX_VERTICES
     ):
-        _raise_first_fault(path, n)
+        return None
     table = [0] * count
     zeros = bytearray(b"0") * count
     one = ord("1")
@@ -71,9 +82,9 @@ def load_edge_list(path, n=None):
         # A repeated edge sets a bit twice, and so does a loop, which lists u
         # in its own row once per endpoint.
         if bits.count(one) != len(nbrs):
-            _raise_first_fault(path, n)
+            return None
         table[u] = int(bits[::-1], 2)
-    return Graph(table)
+    return table
 
 
 def _sight(ids, adj, token):

@@ -14,7 +14,7 @@ from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError, 
 # energy is not called here; the name stays bound because bench/tests checks
 # that span tracing rebinds this module's copy.
 from .graph import Partition, VertexSet, energy, require_epsilon  # noqa: F401
-from .regularity import validate_witness
+from .regularity import _witness_counts, validate_witness
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,29 @@ def witness_increment(witness):
     return witness.x.size * witness.y.size * gap * gap
 
 
+def _increment_exceeds(e_xy, m_xy, e_ij, m_ij, eps):
+    """witness_increment(w) > eps**4 * |I||J|, decided in integers from w's counts.
+
+    e_xy, m_xy = |X||Y|, e_ij and m_ij = |I||J| are the witness's edge counts
+    and masses. With cross = e_xy m_ij - e_ij m_xy the gap is
+    cross / (m_xy m_ij) and the increment cross^2 / (m_xy m_ij^2); for
+    eps = en/ed, multiplying both sides by ed^4 m_xy m_ij^2 > 0 leaves
+    cross^2 ed^4 > en^4 m_xy m_ij^3.
+    """
+    cross = e_xy * m_ij - e_ij * m_xy
+    return cross * cross * eps.denominator**4 > eps.numerator**4 * m_xy * m_ij**3
+
+
 def irregularity_refine(g, p, eps, witnesses):
     """Refine p so that every witness set becomes a union of new classes.
 
     witnesses maps ordered class-index pairs (a, b) to a PairWitness whose x
     lives in class a and y in class b. Every witness is revalidated from
-    scratch, and its increment checked to exceed eps**4 * |I||J|, before
-    anything is split. Each class is replaced by the atoms of the witness
-    sets that landed in it, so the result refines p with at most
-    |p| * 4**|p| classes, and the energy rises by more than
+    scratch, and its increment checked to exceed eps**4 * |I||J| (in
+    integers, by _increment_exceeds), before anything is split. Each class is
+    replaced by the atoms of the witness sets that landed in it, so the
+    result refines p with at most |p| * 4**|p| classes, and the energy rises
+    by more than
 
         eps**4 * (witnessed mass),
 
@@ -139,13 +153,13 @@ def irregularity_refine(g, p, eps, witnesses):
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     k = len(p)
-    eps4 = eps**4
     per_class = [[] for _ in range(k)]
     for (a, b), w in sorted(witnesses.items()):
         if not (0 <= a < k and 0 <= b < k):
             raise InvalidWitnessError(f"witness key ({a}, {b}) out of range")
         validate_witness(g, p[a], p[b], eps, w)
-        ensure(witness_increment(w) > eps4 * p[a].size * p[b].size, "small increment")
+        counts = _witness_counts(g, p[a], p[b], w)
+        ensure(_increment_exceeds(*counts, eps), "small increment")
         per_class[a].append(w.x)
         per_class[b].append(w.y)
 

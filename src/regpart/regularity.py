@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from numbers import Rational
 
 from .errors import (
     BadParamsError,
@@ -77,28 +78,46 @@ _REGULAR = PairClassification(REGULAR_CERTIFIED)
 _UNKNOWN = PairClassification(UNKNOWN_TREATED_AS_REGULAR)
 
 
+def _witness_counts(g, i, j, witness):
+    """Edge counts and masses (e_xy, m_xy, e_ij, m_ij) of a witness and its pair."""
+    x, y = witness.x, witness.y
+    e_xy = adjacent_pair_count(g, x, y)
+    e_ij = adjacent_pair_count(g, i, j)
+    return e_xy, x.size * y.size, e_ij, i.size * j.size
+
+
+def _is_ratio(d, e, m):
+    """True when the stored density d is exactly e/m; d must be rational."""
+    return isinstance(d, Rational) and d.numerator * m == e * d.denominator
+
+
 def validate_witness(g, i, j, eps, witness):
     """Re-check a witness from scratch; raise InvalidWitnessError on any failure.
 
-    Checks containment, both strict size lower bounds, the strict density gap,
-    and that the stored densities match a fresh exact recomputation.
+    Checks containment, both strict size lower bounds, that the stored
+    densities equal a fresh count of edges over pairs, and the strict density
+    gap. With eps = en/ed every comparison is an integer cross-multiplication;
+    a Fraction is formed only to word an error.
     """
     eps = require_epsilon(eps)
+    en, ed = eps.numerator, eps.denominator
     x, y = witness.x, witness.y
     if not x.issubset(i) or not y.issubset(j):
         raise InvalidWitnessError("witness sets not contained in their classes")
     if x.size == 0 or y.size == 0:
         raise InvalidWitnessError("witness sets must be nonempty")
-    if not (x.size > eps * i.size and y.size > eps * j.size):
+    if not (x.size * ed > en * i.size and y.size * ed > en * j.size):
         raise InvalidWitnessError(
             f"witness too small: |x|={x.size}, |y|={y.size} vs "
             f"eps*|I|={eps * i.size}, eps*|J|={eps * j.size}"
         )
-    d_xy = density(g, x, y)
-    d_ij = density(g, i, j)
-    if d_xy != witness.d_xy or d_ij != witness.d_ij:
+    e_xy, m_xy, e_ij, m_ij = _witness_counts(g, i, j, witness)
+    if not (
+        _is_ratio(witness.d_xy, e_xy, m_xy) and _is_ratio(witness.d_ij, e_ij, m_ij)
+    ):
         raise InvalidWitnessError("stored densities do not match recomputation")
-    if not abs(d_xy - d_ij) > eps:
+    if not abs(e_xy * m_ij - e_ij * m_xy) * ed > en * m_xy * m_ij:
+        d_xy, d_ij = Fraction(e_xy, m_xy), Fraction(e_ij, m_ij)
         raise InvalidWitnessError(
             f"density gap |{d_xy} - {d_ij}| = {abs(d_xy - d_ij)} not > {eps}"
         )

@@ -104,6 +104,31 @@ class TestVertexSet:
         with pytest.raises(AttributeError):
             s.mask = 0
 
+    def test_members_built_once(self):
+        s = VertexSet.from_iterable([7, 0, 3], 9)
+        first = s.members()
+        assert first == (0, 3, 7)
+        assert s.members() is first
+        assert tuple(s) == first
+
+    def test_read_members_keep_equality_and_hash(self):
+        read = VertexSet.from_iterable([2, 5, 6], 8)
+        read.members()
+        fresh = VertexSet(read.mask, 8)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+        assert read != VertexSet(read.mask, 9)
+
+    def test_members_slot_is_immutable(self):
+        s = VertexSet.from_iterable([1, 2], 4)
+        with pytest.raises(AttributeError):
+            s._members = (3,)
+        s.members()
+        with pytest.raises(AttributeError):
+            s._members = (3,)
+        assert s.members() == (1, 2)
+
     @given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1))
     def test_inclusion_exclusion(self, m1, m2):
         a, b = VertexSet(m1, 12), VertexSet(m2, 12)

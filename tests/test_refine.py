@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition
@@ -23,6 +23,8 @@ from regpart import (
     is_balanced,
     witness_increment,
 )
+from regpart.refine import _increment_exceeds
+from regpart.regularity import _witness_counts
 
 
 class TestIsBalanced:
@@ -250,6 +252,45 @@ class TestIrregularityRefine:
             assert gain > eps4 * rep.irregular_mass
             assert len(q) <= len(p) * 4 ** len(p)
         assert hits > 5
+
+
+@st.composite
+def witness_counts(draw):
+    """(e_xy, m_xy, e_ij, m_ij) with 0 <= e <= m for both blocks."""
+    m_xy, m_ij = draw(st.integers(1, 40)), draw(st.integers(1, 400))
+    return draw(st.integers(0, m_xy)), m_xy, draw(st.integers(0, m_ij)), m_ij
+
+
+class TestIncrementInIntegers:
+    EPS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+
+    def test_agrees_on_every_reported_witness(self):
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n)
+            p = random_partition(rng, n, max_classes=4)
+            eps = rng.choice(self.EPS)
+            for (a, b), clf in check_partition(g, p, eps).classifications.items():
+                if not clf.is_irregular:
+                    continue
+                w = clf.witness
+                counts = _witness_counts(g, p[a], p[b], w)
+                expected = witness_increment(w) > eps**4 * p[a].size * p[b].size
+                assert _increment_exceeds(*counts, eps) == expected
+                checked += 1
+        assert checked > 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(witness_counts(), st.fractions(Fraction(1, 12), 1, max_denominator=12))
+    # an increment of exactly eps**4 |I||J|: 4 (3/4 - 1/4)^2 = (1/2)^4 16
+    @example((3, 4, 4, 16), Fraction(1, 2))
+    def test_agrees_with_fractions(self, counts, eps):
+        e_xy, m_xy, e_ij, m_ij = counts
+        gap = Fraction(e_xy, m_xy) - Fraction(e_ij, m_ij)
+        expected = m_xy * gap * gap > eps**4 * m_ij
+        assert _increment_exceeds(*counts, eps) == expected
 
 
 def test_floor_eps_inverse_fifth():

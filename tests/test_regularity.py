@@ -88,6 +88,103 @@ class TestValidateWitness:
             validate_witness(g, i, j, Fraction(1, 4), w)
 
 
+def fraction_validate_witness(g, i, j, eps, witness):
+    """The Fraction form of validate_witness, the reference for the integer one."""
+    eps = Fraction(eps)
+    x, y = witness.x, witness.y
+    if not x.issubset(i) or not y.issubset(j):
+        raise InvalidWitnessError("witness sets not contained in their classes")
+    if x.size == 0 or y.size == 0:
+        raise InvalidWitnessError("witness sets must be nonempty")
+    if not (x.size > eps * i.size and y.size > eps * j.size):
+        raise InvalidWitnessError(
+            f"witness too small: |x|={x.size}, |y|={y.size} vs "
+            f"eps*|I|={eps * i.size}, eps*|J|={eps * j.size}"
+        )
+    d_xy = density(g, x, y)
+    d_ij = density(g, i, j)
+    if d_xy != witness.d_xy or d_ij != witness.d_ij:
+        raise InvalidWitnessError("stored densities do not match recomputation")
+    if not abs(d_xy - d_ij) > eps:
+        raise InvalidWitnessError(
+            f"density gap |{d_xy} - {d_ij}| = {abs(d_xy - d_ij)} not > {eps}"
+        )
+
+
+def validation_outcome(validate, g, i, j, eps, witness):
+    """None when the witness passes, else the InvalidWitnessError message."""
+    try:
+        validate(g, i, j, eps, witness)
+    except InvalidWitnessError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def witness_cases(draw):
+    """A class pair, a witness on it and an eps.
+
+    eps is drawn below the witness's gap and size ratios (valid unless a
+    density is off), exactly at |X|/|I|, |Y|/|J| or the gap (each must fail),
+    or at random. Each stored density is exact, off by one edge, or, when it is
+    0 or 1, sometimes the int 0 or 1 instead.
+    """
+    g, i, j = draw(class_pairs())
+    x = VertexSet.from_iterable(
+        draw(st.lists(st.sampled_from(i.members()), min_size=1, unique=True)), g.n
+    )
+    y = VertexSet.from_iterable(
+        draw(st.lists(st.sampled_from(j.members()), min_size=1, unique=True)), g.n
+    )
+    d_xy, d_ij = density(g, x, y), density(g, i, j)
+    sizes = [Fraction(x.size, i.size), Fraction(y.size, j.size)]
+    gap = abs(d_xy - d_ij)
+    mode = draw(st.sampled_from(["below", "size", "gap", "random"]))
+    if mode == "below":
+        scale = draw(
+            st.sampled_from([Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)])
+        )
+        eps = scale * min(sizes + [gap] if gap else sizes)
+    elif mode == "size" or (mode == "gap" and not gap):
+        eps = draw(st.sampled_from(sizes))
+    elif mode == "gap":
+        eps = gap
+    else:
+        eps = draw(st.fractions(Fraction(1, 20), 1, max_denominator=20))
+    stored = []
+    for d, m in ((d_xy, x.size * y.size), (d_ij, i.size * j.size)):
+        change = draw(st.sampled_from(["exact", "exact", "off", "int"]))
+        if change == "off":
+            d += Fraction(draw(st.sampled_from([-1, 1])), m)
+        elif change == "int":
+            d = int(d) if d.denominator == 1 else draw(st.sampled_from([0, 1]))
+        stored.append(d)
+    return g, i, j, eps, PairWitness(x=x, y=y, d_xy=stored[0], d_ij=stored[1])
+
+
+class TestValidateWitnessMatchesFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(witness_cases())
+    def test_same_outcome_and_message(self, case):
+        assert validation_outcome(validate_witness, *case) == validation_outcome(
+            fraction_validate_witness, *case
+        )
+
+    def test_boundaries_fail(self):
+        # I = {0..3}, J = {4, 5}, and X = {0, 1, 2} complete to Y = J:
+        # d(X, Y) = 1 and d(I, J) = 3/4, so the gap is 1/4 and |X| = 3/4 |I|
+        g = Graph.from_edges(6, [(u, v) for u in range(3) for v in (4, 5)])
+        i = VertexSet.from_iterable(range(4), 6)
+        j = VertexSet.from_iterable([4, 5], 6)
+        x = VertexSet.from_iterable(range(3), 6)
+        w = PairWitness(x=x, y=j, d_xy=1, d_ij=Fraction(3, 4))
+        validate_witness(g, i, j, Fraction(1, 5), w)
+        with pytest.raises(InvalidWitnessError, match="too small"):
+            validate_witness(g, i, j, Fraction(3, 4), w)
+        with pytest.raises(InvalidWitnessError, match=r"\|1 - 3/4\| = 1/4 not > 1/4"):
+            validate_witness(g, i, j, Fraction(1, 4), w)
+
+
 class TestCheckPairExhaustive:
     def test_single_edge_witness_order(self):
         g, p = single_edge()
