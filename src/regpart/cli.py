@@ -25,7 +25,6 @@ from .graph import energy, require_epsilon
 from .io import (
     dump_edge_list,
     dump_partition,
-    dump_trace_csv,
     dump_trace_json,
     load_edge_list,
     load_partition,
@@ -106,10 +105,7 @@ def cmd_regularize(args):
         dump_partition(trace.final, args.out)
         _log(f"wrote final partition to {args.out}")
     if args.trace:
-        if args.trace.endswith(".json"):
-            dump_trace_json(trace, args.trace)
-        else:
-            dump_trace_csv(trace, args.trace)
+        dump_trace_json(trace, args.trace)
         _log(f"wrote trace to {args.trace}")
     _log(
         f"status {trace.status} after {trace.refine_count} refinement steps; "
@@ -191,7 +187,7 @@ def build_parser():
     )
     reg.add_argument("--partition", help="initial partition file (default: one class)")
     reg.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
-    reg.add_argument("--trace", help="trace file (.json for JSON, else CSV)")
+    reg.add_argument("--trace", help="JSON trace file")
     reg.add_argument("--out", help="file for the final partition")
     reg.set_defaults(func=cmd_regularize)
 

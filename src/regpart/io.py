@@ -1,4 +1,4 @@
-"""File formats: edge lists, partitions, report JSON, trace CSV and JSON.
+"""File formats: edge lists, partitions, report JSON and trace JSON.
 
 All writers emit canonical bytes (sorted members, "\n" line endings, fixed
 key order), so identical runs serialize identically. Loaders are strict and
@@ -6,7 +6,6 @@ name the offending line on malformed input. Rationals serialize as their
 canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
 """
 
-import csv
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -273,35 +272,6 @@ def report_json(report):
             entry["witness"] = plain(clf.witness)
         body["classifications"].append(entry)
     return body
-
-
-TRACE_CSV_COLUMNS = (
-    "iter",
-    "phase",
-    "num_classes",
-    "energy_num",
-    "energy_den",
-    "irregular_mass",
-    "verdict",
-)
-
-
-def dump_trace_csv(trace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for idx, step in enumerate(trace.steps):
-            writer.writerow(
-                [
-                    idx,
-                    step.phase,
-                    step.num_classes,
-                    step.energy.numerator,
-                    step.energy.denominator,
-                    step.irregular_mass,
-                    step.verdict,
-                ]
-            )
 
 
 def trace_json(trace):

@@ -14,7 +14,7 @@ from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError, 
 # energy is not called here; the name stays bound because bench/tests checks
 # that span tracing rebinds this module's copy.
 from .graph import Partition, VertexSet, energy, require_epsilon  # noqa: F401
-from .regularity import _witness_counts, validate_witness
+from .regularity import validate_witness
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,11 @@ def irregularity_refine(g, p, eps, witnesses):
 
     witnesses maps ordered class-index pairs (a, b) to a PairWitness whose x
     lives in class a and y in class b. Every witness is revalidated from
-    scratch, and its increment checked to exceed eps**4 * |I||J| (in
-    integers, by _increment_exceeds), before anything is split. Each class is
-    replaced by the atoms of the witness sets that landed in it, so the
-    result refines p with at most |p| * 4**|p| classes, and the energy rises
-    by more than
+    scratch, and its increment checked to exceed eps**4 * |I||J| from the
+    counts validate_witness returns (in integers, by _increment_exceeds),
+    before anything is split. Each class is replaced by the atoms of the
+    witness sets that landed in it, so the result refines p with at most
+    |p| * 4**|p| classes, and the energy rises by more than
 
         eps**4 * (witnessed mass),
 
@@ -157,8 +157,7 @@ def irregularity_refine(g, p, eps, witnesses):
     for (a, b), w in sorted(witnesses.items()):
         if not (0 <= a < k and 0 <= b < k):
             raise InvalidWitnessError(f"witness key ({a}, {b}) out of range")
-        validate_witness(g, p[a], p[b], eps, w)
-        counts = _witness_counts(g, p[a], p[b], w)
+        counts = validate_witness(g, p[a], p[b], eps, w)
         ensure(_increment_exceeds(*counts, eps), "small increment")
         per_class[a].append(w.x)
         per_class[b].append(w.y)

@@ -78,14 +78,6 @@ _REGULAR = PairClassification(REGULAR_CERTIFIED)
 _UNKNOWN = PairClassification(UNKNOWN_TREATED_AS_REGULAR)
 
 
-def _witness_counts(g, i, j, witness):
-    """Edge counts and masses (e_xy, m_xy, e_ij, m_ij) of a witness and its pair."""
-    x, y = witness.x, witness.y
-    e_xy = adjacent_pair_count(g, x, y)
-    e_ij = adjacent_pair_count(g, i, j)
-    return e_xy, x.size * y.size, e_ij, i.size * j.size
-
-
 def _is_ratio(d, e, m):
     """True when the stored density d is exactly e/m; d must be rational."""
     return isinstance(d, Rational) and d.numerator * m == e * d.denominator
@@ -97,7 +89,9 @@ def validate_witness(g, i, j, eps, witness):
     Checks containment, both strict size lower bounds, that the stored
     densities equal a fresh count of edges over pairs, and the strict density
     gap. With eps = en/ed every comparison is an integer cross-multiplication;
-    a Fraction is formed only to word an error.
+    a Fraction is formed only to word an error. Returns the checked counts
+    (e_xy, m_xy, e_ij, m_ij): the edges and the mass |X||Y| of the witness
+    block, then those of the pair (I, J).
     """
     eps = require_epsilon(eps)
     en, ed = eps.numerator, eps.denominator
@@ -111,7 +105,8 @@ def validate_witness(g, i, j, eps, witness):
             f"witness too small: |x|={x.size}, |y|={y.size} vs "
             f"eps*|I|={eps * i.size}, eps*|J|={eps * j.size}"
         )
-    e_xy, m_xy, e_ij, m_ij = _witness_counts(g, i, j, witness)
+    e_xy, m_xy = adjacent_pair_count(g, x, y), x.size * y.size
+    e_ij, m_ij = adjacent_pair_count(g, i, j), i.size * j.size
     if not (
         _is_ratio(witness.d_xy, e_xy, m_xy) and _is_ratio(witness.d_ij, e_ij, m_ij)
     ):
@@ -121,6 +116,7 @@ def validate_witness(g, i, j, eps, witness):
         raise InvalidWitnessError(
             f"density gap |{d_xy} - {d_ij}| = {abs(d_xy - d_ij)} not > {eps}"
         )
+    return e_xy, m_xy, e_ij, m_ij
 
 
 def _min_qualifying_size(eps, class_size):

@@ -8,6 +8,7 @@ explicit projected matrices, pruned search vs unpruned enumeration).
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -346,7 +347,7 @@ def test_criterion_09_core_bound(capsys):
 def _cli_planted_run(workdir):
     graph = workdir / "g.txt"
     part = workdir / "p.txt"
-    trace = workdir / "t.csv"
+    trace = workdir / "t.json"
     code = cli_main(
         [
             "gen", "--model", "planted", "--blocks", "2", "--block-size", "16",
@@ -365,14 +366,12 @@ def _cli_planted_run(workdir):
     return graph.read_bytes(), part.read_bytes(), trace.read_bytes()
 
 
-def _refine_rows_strictly_increase(csv_text):
-    rows = csv_text.strip().splitlines()[1:]
+def _refine_rows_strictly_increase(trace_text):
     prev = None
     refine_rows = 0
-    for row in rows:
-        cols = row.split(",")
-        current = Fraction(int(cols[3]), int(cols[4]))
-        if cols[1] == "refine":
+    for step in json.loads(trace_text)["steps"]:
+        current = Fraction(step["energy"])
+        if step["phase"] == "refine":
             refine_rows += 1
             assert prev is not None and current > prev
         if prev is not None:
@@ -391,14 +390,14 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         first = _cli_planted_run(d1)
         second = _cli_planted_run(d2)
         assert first == second
-        _refine_rows_strictly_increase((d1 / "t.csv").read_text())
+        _refine_rows_strictly_increase((d1 / "t.json").read_text())
 
         # supplementary runs with actual refine rows, same strictness
         g1 = tmp_path / "single.txt"
         g1.write_text("0 2\n")
         p1 = tmp_path / "single_p0.txt"
         p1.write_text("0: 0 1\n1: 2 3\n")
-        t1 = tmp_path / "single_t.csv"
+        t1 = tmp_path / "single_t.json"
         code = cli_main(
             [
                 "regularize", "--graph", str(g1), "--partition", str(p1),
@@ -409,7 +408,7 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         assert _refine_rows_strictly_increase(t1.read_text()) == 1
 
         g2 = tmp_path / "g2.txt"
-        t2 = tmp_path / "g2_t.csv"
+        t2 = tmp_path / "g2_t.json"
         code = cli_main(
             [
                 "gen", "--model", "gnp", "--n", "12", "--p", "1/2",

@@ -72,24 +72,19 @@ class TestRegularize:
         assert payload["final"] == [[0], [1], [2], [3]]
 
     def test_trace_files(self, tmp_path, capsys):
+        # the trace is JSON whatever the file's extension
         graph, part = write_single_edge(tmp_path)
-        csv_path = tmp_path / "t.csv"
-        json_path = tmp_path / "t.json"
-        code, _, _ = run(
-            capsys, "regularize", "--graph", graph, "--partition", part,
-            "--epsilon", "2/5", "--trace", csv_path,
-        )
-        assert code == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("iter,phase,num_classes")
-        assert len(lines) == 4
-        code, _, _ = run(
-            capsys, "regularize", "--graph", graph, "--partition", part,
-            "--epsilon", "2/5", "--trace", json_path,
-        )
-        assert code == 0
-        body = json.loads(json_path.read_text())
+        paths = [tmp_path / name for name in ("t.json", "t.csv", "t")]
+        for path in paths:
+            code, _, _ = run(
+                capsys, "regularize", "--graph", graph, "--partition", part,
+                "--epsilon", "2/5", "--trace", path,
+            )
+            assert code == 0
+        body = json.loads(paths[0].read_text())
+        assert len(body["steps"]) == 3
         assert body["refine_count"] == 1
+        assert all(path.read_bytes() == paths[0].read_bytes() for path in paths)
 
     def test_budget_exit(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
@@ -454,13 +449,47 @@ GNP24_FINAL = """\
 }
 """
 
-GNP24_TRACE = """\
-iter,phase,num_classes,energy_num,energy_den,irregular_mass,verdict
-0,balance,1,4225,36,576,irregular
-1,refine,4,807115,5929,576,irregular
-2,balance,13,162,1,452,irregular
-3,refine,24,260,1,452,irregular
-4,balance,24,260,1,0,regular
+GNP24_TRACE_HEAD = """\
+{
+  "steps": [
+    {
+      "phase": "balance",
+      "num_classes": 1,
+      "energy": "4225/36",
+      "irregular_mass": 576,
+      "verdict": "irregular"
+    },
+    {
+      "phase": "refine",
+      "num_classes": 4,
+      "energy": "807115/5929",
+      "irregular_mass": 576,
+      "verdict": "irregular"
+    },
+    {
+      "phase": "balance",
+      "num_classes": 13,
+      "energy": "162",
+      "irregular_mass": 452,
+      "verdict": "irregular"
+    },
+    {
+      "phase": "refine",
+      "num_classes": 24,
+      "energy": "260",
+      "irregular_mass": 452,
+      "verdict": "irregular"
+    },
+    {
+      "phase": "balance",
+      "num_classes": 24,
+      "energy": "260",
+      "irregular_mass": 0,
+      "verdict": "regular"
+    }
+  ],
+  "refine_count": 2,
+  "status": "regular",
 """
 
 GNP24_OUT = """\
@@ -499,12 +528,12 @@ GOLDEN_CASES = {
         GNP40_OUT,
     ),
     # two refine rounds down to singletons, classes of mixed sizes on the
-    # way: the CSV trace format, one-candidate pairs and energy sums over
+    # way: a trace of five steps, one-candidate pairs and energy sums over
     # several block masses
     "gnp24-eps1_5": (
-        ("24", "3", "t.csv", 0),
+        ("24", "3", "t.json", 0),
         GNP24_STDOUT_HEAD + GNP24_FINAL,
-        GNP24_TRACE,
+        GNP24_TRACE_HEAD + GNP24_FINAL,
         GNP24_OUT,
     ),
 }

@@ -19,7 +19,6 @@ from regpart.generate import gnp
 from regpart.io import (
     dump_edge_list,
     dump_partition,
-    dump_trace_csv,
     load_edge_list,
     load_partition,
     plain,
@@ -435,23 +434,18 @@ class TestReportJson:
 
 
 class TestTrace:
-    def test_csv_bytes(self, tmp_path):
-        g, p = single_edge_run()
-        trace = regularize(g, p, Fraction(2, 5))
-        path = tmp_path / "t.csv"
-        dump_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,phase,num_classes,energy_num,energy_den,irregular_mass,verdict"
-        assert lines[1] == "0,balance,2,1,2,8,irregular"
-        assert lines[2] == "1,refine,4,2,1,8,irregular"
-        assert lines[3] == "2,balance,4,2,1,0,regular"
-
     def test_json_mirror(self):
         g, p = single_edge_run()
         trace = regularize(g, p, Fraction(2, 5))
         body = trace_json(trace)
+        assert list(body) == ["steps", "refine_count", "status", "final"]
         assert body["refine_count"] == 1
         assert body["status"] == "regular"
         assert body["final"] == [[0], [1], [2], [3]]
-        assert [s["phase"] for s in body["steps"]] == ["balance", "refine", "balance"]
-        assert body["steps"][1]["energy"] == "2"
+        keys = ["phase", "num_classes", "energy", "irregular_mass", "verdict"]
+        assert [list(s) for s in body["steps"]] == [keys] * 3
+        assert [list(s.values()) for s in body["steps"]] == [
+            ["balance", 2, "1/2", 8, "irregular"],
+            ["refine", 4, "2", 8, "irregular"],
+            ["balance", 4, "2", 0, "regular"],
+        ]

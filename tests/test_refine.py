@@ -21,10 +21,10 @@ from regpart import (
     energy,
     irregularity_refine,
     is_balanced,
+    validate_witness,
     witness_increment,
 )
 from regpart.refine import _increment_exceeds
-from regpart.regularity import _witness_counts
 
 
 class TestIsBalanced:
@@ -276,7 +276,7 @@ class TestIncrementInIntegers:
                 if not clf.is_irregular:
                     continue
                 w = clf.witness
-                counts = _witness_counts(g, p[a], p[b], w)
+                counts = validate_witness(g, p[a], p[b], eps, w)
                 expected = witness_increment(w) > eps**4 * p[a].size * p[b].size
                 assert _increment_exceeds(*counts, eps) == expected
                 checked += 1

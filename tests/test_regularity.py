@@ -18,6 +18,7 @@ from regpart import (
     RegularityReport,
     TooLargeError,
     VertexSet,
+    adjacent_pair_count,
     check_pair_exhaustive,
     check_partition,
     classify_pair,
@@ -57,7 +58,9 @@ class TestValidateWitness:
         )
 
     def test_valid(self):
-        validate_witness(self.g, self.i, self.j, Fraction(2, 5), self.w)
+        # one edge in {0} x {2} over 1 pair, one in I x J over 4
+        counts = validate_witness(self.g, self.i, self.j, Fraction(2, 5), self.w)
+        assert counts == (1, 1, 1, 4)
 
     def test_too_small_for_large_eps(self):
         # |x| = 1 is not > (3/5)|i| = 6/5
@@ -641,3 +644,45 @@ class TestRefineValidatesOncePerPair:
         ]
         # the same refinement as from every ordered pair, mirrors included
         assert q == irregularity_refine(g, p, eps, ordered)
+
+
+class TestValidateWitnessCounts:
+    EPS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_partitions(), st.sampled_from(EPS))
+    def test_returns_fresh_counts(self, graph_partition, eps):
+        g, p = graph_partition
+        for (a, b), clf in check_partition(g, p, eps).classifications.items():
+            if not clf.is_irregular:
+                continue
+            i, j, w = p[a], p[b], clf.witness
+            assert validate_witness(g, i, j, eps, w) == (
+                adjacent_pair_count(g, w.x, w.y),
+                w.x.size * w.y.size,
+                adjacent_pair_count(g, i, j),
+                i.size * j.size,
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_partitions(), st.sampled_from(EPS))
+    def test_refine_counts_each_witness_once(self, graph_partition, eps):
+        g, p = graph_partition
+        witnesses = check_partition(g, p, eps).witnesses()
+        calls = []
+        count = regularity.adjacent_pair_count
+
+        def counting(g, i, j):
+            calls.append((i, j))
+            return count(g, i, j)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "adjacent_pair_count", counting)
+            irregularity_refine(g, p, eps, witnesses)
+        # e(X, Y) and e(I, J), counted by validate_witness and reused for
+        # the increment check
+        assert calls == [
+            pair
+            for (a, b), w in sorted(witnesses.items())
+            for pair in ((w.x, w.y), (p[a], p[b]))
+        ]
