@@ -44,6 +44,8 @@ _REGULARIZE_EXIT = {
     VERDICT_HEURISTICALLY_REGULAR: 2,
     STATUS_BUDGET: 3,
 }
+# any other verdict, or an unbalanced partition, exits 4
+_CHECK_EXIT = {VERDICT_REGULAR: 0, VERDICT_HEURISTICALLY_REGULAR: 2}
 
 
 def _log(message):
@@ -140,13 +142,7 @@ def cmd_check(args):
     payload["core_irregularity"] = plain(bound)
     _log(f"verdict {report.verdict}; balanced={cert.balanced}")
     _emit(payload)
-    if not cert.balanced:
-        return 4
-    if report.verdict == VERDICT_REGULAR:
-        return 0
-    if report.verdict == VERDICT_HEURISTICALLY_REGULAR:
-        return 2
-    return 4
+    return _CHECK_EXIT.get(report.verdict, 4) if cert.balanced else 4
 
 
 def build_parser():

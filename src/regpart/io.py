@@ -103,9 +103,10 @@ def _raise_first_fault(path, n):
     (a malformed line, a non-integer or negative vertex, a loop, a repeated
     edge), then the first line with a vertex out of range for an explicit n,
     then an empty file without n, then a vertex count above _MAX_VERTICES.
-    A file with none of these faults is a bug in the caller.
+    A file with none of these faults is a bug in the caller. Only edge keys
+    are kept: a repeat's first line is found by a second scan.
     """
-    seen = {}
+    seen = set()
     top = -1
     far = None
     with open(path) as fh:
@@ -133,13 +134,15 @@ def _raise_first_fault(path, n):
             lo, hi = (u, v) if u < v else (v, u)
             # One int per edge, not a tuple: hi * (hi - 1) // 2 + lo is
             # injective on pairs 0 <= lo < hi, the only pairs left here.
-            first = seen.setdefault(hi * (hi - 1) // 2 + lo, lineno)
-            if first != lineno:
+            key = hi * (hi - 1) // 2 + lo
+            if key in seen:
+                first = _first_line_of(path, lo, hi)
                 raise FormatError(
                     f"duplicate edge {u} {v} (first on line {first})",
                     path=path,
                     line=lineno,
                 )
+            seen.add(key)
             top = max(top, hi)
             if far is None and n is not None and hi >= n:
                 far = lineno
@@ -154,6 +157,14 @@ def _raise_first_fault(path, n):
     if n > _MAX_VERTICES:
         raise FormatError(f"vertex count {n} is too large", path=path)
     ensure(False, f"{path}: load_edge_list rejected an edge list with no fault")
+
+
+def _first_line_of(path, lo, hi):
+    """The first line of an edge file that holds the edge {lo, hi}, lo < hi."""
+    with open(path) as fh:
+        for lineno, parts in enumerate(map(str.split, fh), 1):
+            if sorted(map(int, parts)) == [lo, hi]:
+                return lineno
 
 
 def dump_edge_list(g, path):

@@ -8,14 +8,17 @@ the largest d(X, Y) over the X of size s is the mean of the s largest
 per-vertex counts into Y, so it never rises as s grows, and the smallest never
 falls; the same holds with X and Y swapped. A violation at any sizes therefore
 implies one at the minimum sizes, and checking those alone is a complete proof
-of regularity. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
-for any pair of singletons, no sub-pair but (I, J) itself can qualify: the
-space holds at most that one candidate, whose gap is 0, and the pair is
-certified without reading the graph; check_partition applies this test once
-per pair of class sizes and never visits such pairs. Pairs too large to
-exhaust go through a sound but incomplete heuristic, and an unresolved pair is
-reported as "unknown, treated as regular", never as certified. A partition's
-report stores each witnessed or unknown pair once, as (a, b) with a <= b.
+of regularity. An exhaustive witness takes the first violating X met by size
+descending, lexicographic within a size, and for that X the Y farthest from
+d(I,J) among those of the largest violating size. When eps|I| >= |I| - 1 and
+eps|J| >= |J| - 1, as for any pair of singletons, no sub-pair but (I, J)
+itself can qualify: the space holds at most that one candidate, whose gap is
+0, and the pair is certified without reading the graph; check_partition
+applies this test once per pair of class sizes and never visits such pairs.
+Pairs too large to exhaust go through a sound but incomplete heuristic, and an
+unresolved pair is reported as "unknown, treated as regular", never as
+certified. A partition's report stores each witnessed or unknown pair once, as
+(a, b) with a <= b.
 """
 
 from bisect import bisect_left
@@ -139,27 +142,6 @@ def _band(e_ij, m_ij, eps):
     return e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
 
 
-def _first_pick_above(counts, size, bound):
-    """Lexicographically first tuple of `size` indices whose counts sum past bound.
-
-    Greedy completion: each position takes the smallest index whose best
-    completion (itself plus the largest counts after it) still exceeds the
-    bound. The caller guarantees that the top `size` counts exceed it, so a
-    completion always exists; the indices tried only ever increase.
-    """
-    pick = []
-    start = 0
-    for left in range(size, 0, -1):
-        for idx in range(start, len(counts) - left + 1):
-            rest = sorted(counts[idx + 1 :], reverse=True)[: left - 1]
-            if counts[idx] + sum(rest) > bound:
-                pick.append(idx)
-                bound -= counts[idx]
-                start = idx + 1
-                break
-    return tuple(pick)
-
-
 def check_pair_exhaustive(g, i, j, eps):
     """Decide pair regularity by subset enumeration at the minimum sizes, in integers.
 
@@ -181,14 +163,16 @@ def check_pair_exhaustive(g, i, j, eps):
     scans size lo_x in lexicographic order, and if no X there violates, the
     pair is RegularCertified. Else it climbs one size at a time, keeps each
     size's first violating X and stops at the first size with none. The
-    witness is the one a walk over X by size descending, lexicographic
-    within a size, meets first: the first violating X of size s*, then for
-    that X the largest Y size with a violation (Y sizes descending) and the
-    lexicographically first violating Y of that size, built by greedy
-    completion instead of enumeration. No Fraction is formed until a witness
-    is returned. Two spaces are exhausted before any edge is counted: an
-    empty one, and the one-candidate space in which eps|I| < |X| forces
-    X = I and eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
+    witness's X is the first one a walk over X by size descending,
+    lexicographic within a size, meets: the first violating X of size s*.
+    Its Y has the largest size sy with a violation for that X, and is the
+    one of that size farthest from d(I,J): the sy members of J with the
+    most edges into X, or the sy with the fewest when those lie strictly
+    farther, ranked by count and then by index. No Fraction is formed until
+    a witness is returned. Two spaces are exhausted before any edge is
+    counted: an empty one, and the one-candidate space in which
+    eps|I| < |X| forces X = I and eps|J| < |Y| forces Y = J, whose gap
+    |d(I,J) - d(I,J)| is 0.
     The empty-side and size checks still come first, so a pair larger than
     EXHAUSTIVE_CUTOFF raises TooLargeError whatever eps is.
     """
@@ -244,31 +228,29 @@ def check_pair_exhaustive(g, i, j, eps):
     e_x = prefix[total]
     for sy in range(j.size, lo_y - 1, -1):
         top, bottom = bounds(sx, sy)
-        above = e_x - prefix[total - sy] > top
-        below = prefix[sy] < bottom
-        if not (above or below):
-            continue  # no Y of this size can violate
-        # the lexicographically first violator is the earlier of the first
-        # one above top and the first one below bottom
-        picks = []
-        if above:
-            picks.append(_first_pick_above(counts, sy, top))
-        if below:
-            picks.append(_first_pick_above([-c for c in counts], sy, -bottom))
-        pick = min(picks)
-        y = VertexSet.from_iterable((members_j[idx] for idx in pick), g.n)
-        d_xy = Fraction(sum(counts[idx] for idx in pick), sx * sy)
-        return PairClassification(
-            IRREGULAR_WITNESSED,
-            PairWitness(
-                x=VertexSet(x_mask, g.n),
-                y=y,
-                d_xy=d_xy,
-                d_ij=Fraction(e_ij, m_ij),
-            ),
+        if e_x - prefix[total - sy] > top or prefix[sy] < bottom:
+            break
+    else:
+        # an explicit raise, not an assert, so that python -O keeps the check
+        raise AssertionError(
+            f"X of size {sx} violated at |Y| = {lo_y} but not on re-check"
         )
-    # an explicit raise, not an assert, so that python -O keeps the check
-    raise AssertionError(f"X of size {sx} violated at |Y| = {lo_y} but not on re-check")
+    # report the densest Y of size sy or the sparsest, whichever lies farther
+    # from d(I,J), the densest on a tie: one of them violates, so that one
+    # does. Members are ranked by count into X, then by index.
+    scaled_ij = e_ij * sx * sy
+    dense_gap = abs((e_x - prefix[total - sy]) * m_ij - scaled_ij)
+    sign = -1 if dense_gap >= abs(prefix[sy] * m_ij - scaled_ij) else 1
+    pick = sorted(range(total), key=lambda idx: (sign * counts[idx], idx))[:sy]
+    return PairClassification(
+        IRREGULAR_WITNESSED,
+        PairWitness(
+            x=VertexSet(x_mask, g.n),
+            y=VertexSet.from_iterable((members_j[idx] for idx in pick), g.n),
+            d_xy=Fraction(sum(counts[idx] for idx in pick), sx * sy),
+            d_ij=Fraction(e_ij, m_ij),
+        ),
+    )
 
 
 def find_witness_heuristic(g, i, j, eps):

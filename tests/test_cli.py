@@ -585,13 +585,13 @@ GOLDEN_CHECK_CASES = {
             _witnessed(1, 0, [10, 15, 18], [0, 1, 2, 3, 4, 6, 7, 8, 9], "4/27", "9/25"),
             _witnessed(1, 1, [10, 11, 13, 14, 15, 16, 17, 18, 19], [11, 13, 14, 15], "1/6", "19/50"),
             _witnessed(1, 2, [10, 11, 13, 14, 15, 16, 17, 18], [20, 21, 28], "19/24", "29/50"),
-            _witnessed(1, 3, [10, 11, 12, 13, 14, 15, 16, 17, 18], [30, 31, 32, 37], "7/9", "57/100"),
+            _witnessed(1, 3, [10, 11, 12, 13, 14, 15, 16, 17, 18], [34, 35, 38, 39], "13/36", "57/100"),
             _witnessed(2, 0, [21, 23, 26, 28], [0, 1, 2, 5, 6, 7, 8, 9], "19/32", "39/100"),
             _witnessed(2, 1, [20, 21, 28], [10, 11, 13, 14, 15, 16, 17, 18], "19/24", "29/50"),
             _witnessed(2, 2, [20, 21, 22, 23, 24, 25, 26, 27, 28], [20, 21, 23, 25], "5/18", "12/25"),
             _witnessed(2, 3, [20, 21, 22, 23, 24, 25, 26, 29], [30, 32, 34], "17/24", "1/2"),
             _witnessed(3, 0, [31, 36, 38], [0, 1, 2, 3, 4, 5, 6, 7, 9], "7/9", "57/100"),
-            _witnessed(3, 1, [30, 31, 32, 37], [10, 11, 12, 13, 14, 15, 16, 17, 18], "7/9", "57/100"),
+            _witnessed(3, 1, [34, 35, 38, 39], [10, 11, 12, 13, 14, 15, 16, 17, 18], "13/36", "57/100"),
             _witnessed(3, 2, [30, 32, 34], [20, 21, 22, 23, 24, 25, 26, 29], "17/24", "1/2"),
             _witnessed(3, 3, [30, 31, 32, 33, 34, 35, 36, 37, 39], [32, 36, 37], "2/9", "11/25"),
         ],

@@ -194,7 +194,8 @@ class TestCheckPairExhaustive:
         clf = check_pair_exhaustive(g, p[0], p[1], Fraction(2, 5))
         assert clf.kind == IRREGULAR_WITNESSED
         w = clf.witness
-        # first violating pair in size-descending, lexicographic order
+        # X = {0} is the first violating X by size descending, and Y = {2}
+        # the farthest Y of the largest violating size
         assert w.x.members() == (0,)
         assert w.y.members() == (2,)
         assert w.d_xy == 1
@@ -297,9 +298,12 @@ class TestCheckPairExhaustive:
 def reference_exhaustive(g, i, j, eps):
     """The plain enumeration the fast kernel must reproduce witness for witness.
 
-    X by size descending, lexicographic within a size; for each X, Y the same
-    way; every sub-pair compared with Fractions. Returns (kind,) or
-    (kind, x, y, d_xy, d_ij).
+    X is the first violating X by size descending, lexicographic within a
+    size, and |Y| the largest violating size for that X. Among the Y of that
+    size in lexicographic order, the first of the largest density and the
+    first of the smallest are compared, and the one farther from d(I,J) is
+    reported, the denser on a tie. Every sub-pair is compared with Fractions.
+    Returns (kind,) or (kind, x, y, d_xy, d_ij).
     """
     d_ij = density(g, i, j)
     mi, mj = i.members(), j.members()
@@ -314,10 +318,13 @@ def reference_exhaustive(g, i, j, eps):
         for xs in combinations(mi, sx):
             x = VertexSet.from_iterable(xs, g.n)
             for ys in ys_by_size:
-                for y in ys:
-                    d_xy = density(g, x, y)
-                    if abs(d_xy - d_ij) > eps:
-                        return (IRREGULAR_WITNESSED, x, y, d_xy, d_ij)
+                scored = [(density(g, x, y), y) for y in ys]
+                if not any(abs(d_xy - d_ij) > eps for d_xy, _ in scored):
+                    continue
+                densest = max(scored, key=lambda c: c[0])
+                sparsest = min(scored, key=lambda c: c[0])
+                d_xy, y = max(densest, sparsest, key=lambda c: abs(c[0] - d_ij))
+                return (IRREGULAR_WITNESSED, x, y, d_xy, d_ij)
     return (REGULAR_CERTIFIED,)
 
 
@@ -349,35 +356,67 @@ def class_pairs(draw):
     return g, i, j
 
 
+PAIR_EPS = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+
+
 class TestExhaustiveMatchesReference:
     @settings(max_examples=150, deadline=None)
-    @given(
-        class_pairs(),
-        st.sampled_from(
-            [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
-        ),
-    )
+    @given(class_pairs(), st.sampled_from(PAIR_EPS))
     def test_same_kind_and_witness(self, pair, eps):
         g, i, j = pair
         clf = check_pair_exhaustive(g, i, j, eps)
         assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
 
-    def test_lex_first_y_is_not_the_top_counts(self):
-        # X = I = {0, 1}; counts into J: 2->2, 3->0, 4->2, 5->0, 6->1.
-        # Sizes 5 and 4 cannot violate at eps = 1/8; at size 3 the first
-        # violating Y in lexicographic order is {2, 3, 4} (4 edges > 3.75),
-        # not the top three by count {2, 4, 6}, and it precedes the first
-        # low-side violator {2, 3, 5}.
-        g = Graph.from_edges(7, [(0, 2), (0, 4), (1, 2), (1, 4), (1, 6)])
-        i = VertexSet.from_iterable([0, 1], 7)
-        j = VertexSet.from_iterable(range(2, 7), 7)
-        eps = Fraction(1, 8)
+    @staticmethod
+    def witness_from_i(edges, n, eps=Fraction(1, 8)):
+        """The exhaustive witness of I = {0, 1} against J = {2, ..., n - 1}."""
+        g = Graph.from_edges(n, edges)
+        i = VertexSet.from_iterable([0, 1], n)
+        j = VertexSet.from_iterable(range(2, n), n)
         clf = check_pair_exhaustive(g, i, j, eps)
         assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
-        w = clf.witness
-        assert w.x.members() == (0, 1)
-        assert w.y.members() == (2, 3, 4)
-        assert (w.d_xy, w.d_ij) == (Fraction(2, 3), Fraction(1, 2))
+        assert clf.witness.x == i
+        return clf.witness
+
+    def test_tied_gaps_report_the_densest_y(self):
+        # counts into J: 2->2, 3->0, 4->2, 5->0, 6->1. Sizes 5 and 4 cannot
+        # violate at eps = 1/8; at size 3 the densest Y {2, 4, 6} (5/6) and
+        # the sparsest {3, 5, 6} (1/6) both lie 1/3 from d(I, J) = 1/2, and
+        # the densest is reported, not the lexicographically first violator
+        # {2, 3, 4} (2/3)
+        w = self.witness_from_i([(0, 2), (0, 4), (1, 2), (1, 4), (1, 6)], 7)
+        assert w.y.members() == (2, 4, 6)
+        assert (w.d_xy, w.d_ij) == (Fraction(5, 6), Fraction(1, 2))
+
+    def test_sparse_y_wins_when_farther(self):
+        # counts into J: 2->2, 3->2, 4->1, 5->1, 6->1, d(I, J) = 7/10. At
+        # size 3 the densest Y {2, 3, 4} (5/6) violates by 2/15 > 1/8, but
+        # the sparsest {4, 5, 6} (1/2) lies farther, 1/5 below
+        edges = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 6)]
+        w = self.witness_from_i(edges, 7)
+        assert w.y.members() == (4, 5, 6)
+        assert (w.d_xy, w.d_ij) == (Fraction(1, 2), Fraction(7, 10))
+
+    def test_densest_y_is_not_the_first_dense_violator(self):
+        # counts into J: 2->2, 3->0, 4->2, 5->1, 6->2, 7->0, d(I, J) = 7/12.
+        # At size 4 the first violator in lexicographic order is {2, 3, 4, 6}
+        # (3/4, 1/6 above); the densest {2, 4, 5, 6} (7/8) lies 7/24 above,
+        # farther than the sparsest {2, 3, 5, 7} (3/8, 5/24 below)
+        edges = [(0, 2), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6)]
+        w = self.witness_from_i(edges, 8)
+        assert w.y.members() == (2, 4, 5, 6)
+        assert (w.d_xy, w.d_ij) == (Fraction(7, 8), Fraction(7, 12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_pairs(), st.sampled_from(PAIR_EPS))
+    def test_gap_at_least_the_lex_first_violators(self, pair, eps):
+        g, i, j = pair
+        w = check_pair_exhaustive(g, i, j, eps).witness
+        if w is None:
+            return
+        ys = (VertexSet.from_iterable(c, g.n) for c in combinations(j.members(), w.y.size))
+        first = next(y for y in ys if abs(density(g, w.x, y) - w.d_ij) > eps)
+        assert abs(w.d_xy - w.d_ij) >= abs(density(g, w.x, first) - w.d_ij)
 
 
 class TestHeuristic:
