@@ -6,7 +6,8 @@ Machine-readable JSON goes to stdout, human-readable progress to stderr.
 
 Exit codes: regularize 0 regular, 2 heuristically regular, 3 class budget
 exceeded; check 0 regular and balanced, 2 heuristically regular, 4 irregular
-or unbalanced; 1 for malformed input or I/O trouble on any subcommand.
+or unbalanced; 1 for a usage error, malformed input or I/O trouble on any
+subcommand.
 """
 
 import argparse
@@ -33,7 +34,6 @@ from .io import (
 )
 from .refine import is_balanced
 from .regularity import (
-    EXHAUSTIVE_CUTOFF,
     VERDICT_HEURISTICALLY_REGULAR,
     VERDICT_REGULAR,
     check_partition,
@@ -96,13 +96,7 @@ def cmd_regularize(args):
     p0 = load_partition(args.partition) if args.partition else None
     n = args.n if args.n is not None else (p0.ground_size if p0 else None)
     g = load_edge_list(args.graph, n=n)
-    trace = regularize(
-        g,
-        p0,
-        eps,
-        cutoff=args.cutoff,
-        max_classes=args.max_classes,
-    )
+    trace = regularize(g, p0, eps, max_classes=args.max_classes)
     if args.out:
         dump_partition(trace.final, args.out)
         _log(f"wrote final partition to {args.out}")
@@ -134,7 +128,7 @@ def cmd_check(args):
     eps = require_epsilon(args.epsilon)
     p = load_partition(args.partition)
     g = load_edge_list(args.graph, n=p.ground_size)
-    report = check_partition(g, p, eps, cutoff=args.cutoff)
+    report = check_partition(g, p, eps)
     cert = is_balanced(p, eps)
     bound = balanced_irregularity_bound(report)
     payload = report_json(report)
@@ -145,8 +139,16 @@ def cmd_check(args):
     return _CHECK_EXIT.get(report.verdict, 4) if cert.balanced else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not 2, which means "heuristically regular"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regpart",
         description="Balanced regular partitions of finite graphs, exactly.",
     )
@@ -167,12 +169,6 @@ def build_parser():
     common = {
         "--graph": dict(required=True, help="edge-list file"),
         "--epsilon": dict(required=True, help="exact rational, e.g. 1/4 or 0.25"),
-        "--cutoff": dict(
-            type=int,
-            default=EXHAUSTIVE_CUTOFF,
-            help=f"max |I|+|J| for exhaustive pair checks, 0..{EXHAUSTIVE_CUTOFF}; "
-            "0 means heuristic only",
-        ),
     }
 
     reg = sub.add_parser("regularize", help="run the alternating iteration")

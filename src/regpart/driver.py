@@ -15,12 +15,7 @@ from fractions import Fraction
 from .errors import InvalidPartitionError, ensure
 from .graph import Partition, energy, require_epsilon
 from .refine import balance_refine, is_balanced, irregularity_refine
-from .regularity import (
-    EXHAUSTIVE_CUTOFF,
-    VERDICT_IRREGULAR,
-    _require_cutoff,
-    check_partition,
-)
+from .regularity import VERDICT_IRREGULAR, check_partition
 
 # A finished run's status is the final verdict (regular or
 # heuristically_regular), or this marker when the class budget stopped it.
@@ -109,13 +104,7 @@ def verify_trace(trace, eps, n):
         ensure(trace.refine_count <= math.floor((1 / eps) ** 5), "refines > eps**-5")
 
 
-def regularize(
-    g,
-    p0,
-    eps,
-    cutoff=EXHAUSTIVE_CUTOFF,
-    max_classes=DEFAULT_MAX_CLASSES,
-):
+def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
     """Run the alternating iteration to a certified stop.
 
     p0 of None means the one-class partition. Stops with status regular or
@@ -123,11 +112,8 @@ def regularize(
     classification finds no irregular excess, or with class_budget_exceeded
     when the next split would leave more than max_classes classes (the
     oversized partition is discarded; final keeps the last good one).
-    cutoff is checked up front, before the class budget can stop the run,
-    and passed to every check_partition call.
     """
     eps = require_epsilon(eps)
-    _require_cutoff(cutoff)
     if p0 is None:
         p0 = Partition.single(g.n)
     if p0.ground_size != g.n:
@@ -151,7 +137,7 @@ def regularize(
                 trace.status = STATUS_BUDGET
                 break
             p, e = q, None
-        report = check_partition(g, p, eps, cutoff=cutoff)
+        report = check_partition(g, p, eps)
         if e is None:
             e = energy(g, p)
         trace.steps.append(_trace_step(PHASE_BALANCE, p, e, report))

@@ -8,17 +8,19 @@ the largest d(X, Y) over the X of size s is the mean of the s largest
 per-vertex counts into Y, so it never rises as s grows, and the smallest never
 falls; the same holds with X and Y swapped. A violation at any sizes therefore
 implies one at the minimum sizes, and checking those alone is a complete proof
-of regularity. An exhaustive witness takes the first violating X met by size
-descending, lexicographic within a size, and for that X the Y farthest from
-d(I,J) among those of the largest violating size. When eps|I| >= |I| - 1 and
-eps|J| >= |J| - 1, as for any pair of singletons, no sub-pair but (I, J)
-itself can qualify: the space holds at most that one candidate, whose gap is
-0, and the pair is certified without reading the graph; check_partition
-applies this test once per pair of class sizes and never visits such pairs.
-Pairs too large to exhaust go through a sound but incomplete heuristic, and an
-unresolved pair is reported as "unknown, treated as regular", never as
-certified. A partition's report stores each witnessed or unknown pair once, as
-(a, b) with a <= b.
+of regularity. Since d(X, Y) = d(Y, X), the exhaustive kernel enumerates the
+smaller side, I on a tie. Its witness takes the first violating sub-pair of
+that side met by size descending, lexicographic within a size, and for it the
+set of the other side farthest from d(I,J) among those of the largest
+violating size; found from J's side, it is mirrored, so X stays in I and Y in
+J. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as for any pair of
+singletons, no sub-pair but (I, J) itself can qualify: the space holds at most
+that one candidate, whose gap is 0, and the pair is certified without reading
+the graph; check_partition applies this test once per pair of class sizes and
+never visits such pairs. Pairs too large to exhaust go through a sound but
+incomplete heuristic, and an unresolved pair is reported as "unknown, treated
+as regular", never as certified. A partition's report stores each witnessed or
+unknown pair once, as (a, b) with a <= b.
 """
 
 from bisect import bisect_left
@@ -28,7 +30,6 @@ from itertools import accumulate, combinations
 from numbers import Rational
 
 from .errors import (
-    BadParamsError,
     EmptySetError,
     InvalidPartitionError,
     InvalidWitnessError,
@@ -36,7 +37,8 @@ from .errors import (
 )
 from .graph import VertexSet, adjacent_pair_count, density, require_epsilon
 
-# The default cutoff, and the largest |I| + |J| check_pair_exhaustive enumerates.
+# The largest |I| + |J| that check_pair_exhaustive enumerates; classify_pair
+# routes every larger pair to the heuristic.
 EXHAUSTIVE_CUTOFF = 26
 
 REGULAR_CERTIFIED = "regular_certified"
@@ -145,6 +147,12 @@ def _band(e_ij, m_ij, eps):
 def check_pair_exhaustive(g, i, j, eps):
     """Decide pair regularity by subset enumeration at the minimum sizes, in integers.
 
+    Regularity is symmetric, since e(X, Y) = e(Y, X), so the search
+    enumerates the smaller side: below, I is that side, the given I on a
+    tie. When it is the given J, a certificate carries over as it is and a
+    witness is mirrored, so its x lies in the given I and its y in the
+    given J.
+
     Let lo_x and lo_y be the least sizes above eps|I| and eps|J|. e(X, Y) is
     additive over the members of either side, so for a fixed Y the largest
     d(X, Y) over the X of one size is the mean of that many largest
@@ -181,11 +189,14 @@ def check_pair_exhaustive(g, i, j, eps):
         raise EmptySetError("cannot classify a pair with an empty side")
     if i.size + j.size > EXHAUSTIVE_CUTOFF:
         raise TooLargeError(
-            f"|i| + |j| = {i.size + j.size} exceeds exhaustive cutoff "
+            f"|i| + |j| = {i.size + j.size} exceeds the exhaustive limit "
             f"{EXHAUSTIVE_CUTOFF}"
         )
     if i.capacity != g.n or j.capacity != g.n:
         raise ValueError("vertex sets sized for a different graph")
+    swap = i.size > j.size
+    if swap:
+        i, j = j, i
     lo_x = _min_qualifying_size(eps, i.size)
     lo_y = _min_qualifying_size(eps, j.size)
     if _sizes_certify(lo_x, i.size, lo_y, j.size):
@@ -242,14 +253,14 @@ def check_pair_exhaustive(g, i, j, eps):
     dense_gap = abs((e_x - prefix[total - sy]) * m_ij - scaled_ij)
     sign = -1 if dense_gap >= abs(prefix[sy] * m_ij - scaled_ij) else 1
     pick = sorted(range(total), key=lambda idx: (sign * counts[idx], idx))[:sy]
+    witness = PairWitness(
+        x=VertexSet(x_mask, g.n),
+        y=VertexSet.from_iterable((members_j[idx] for idx in pick), g.n),
+        d_xy=Fraction(sum(counts[idx] for idx in pick), sx * sy),
+        d_ij=Fraction(e_ij, m_ij),
+    )
     return PairClassification(
-        IRREGULAR_WITNESSED,
-        PairWitness(
-            x=VertexSet(x_mask, g.n),
-            y=VertexSet.from_iterable((members_j[idx] for idx in pick), g.n),
-            d_xy=Fraction(sum(counts[idx] for idx in pick), sx * sy),
-            d_ij=Fraction(e_ij, m_ij),
-        ),
+        IRREGULAR_WITNESSED, witness.mirrored() if swap else witness
     )
 
 
@@ -309,9 +320,9 @@ def find_witness_heuristic(g, i, j, eps):
     return _UNKNOWN
 
 
-def classify_pair(g, i, j, eps, cutoff=EXHAUSTIVE_CUTOFF):
-    """Check the pair exhaustively when |I| + |J| <= cutoff, else heuristically."""
-    if i.size + j.size <= cutoff:
+def classify_pair(g, i, j, eps):
+    """Check exhaustively when |I| + |J| <= EXHAUSTIVE_CUTOFF, else heuristically."""
+    if i.size + j.size <= EXHAUSTIVE_CUTOFF:
         return check_pair_exhaustive(g, i, j, eps)
     return find_witness_heuristic(g, i, j, eps)
 
@@ -382,28 +393,21 @@ class RegularityReport:
         return any(c.kind == UNKNOWN_TREATED_AS_REGULAR for c in self.flagged.values())
 
 
-def _require_cutoff(cutoff):
-    if not 0 <= cutoff <= EXHAUSTIVE_CUTOFF:
-        raise BadParamsError(f"cutoff must be in 0..{EXHAUSTIVE_CUTOFF}, got {cutoff}")
-
-
-def check_partition(g, p, eps, cutoff=EXHAUSTIVE_CUTOFF):
+def check_partition(g, p, eps):
     """Classify every class pair of p (diagonal included), each a <= b once.
 
-    cutoff, 0..EXHAUSTIVE_CUTOFF, is the largest |I| + |J| checked
-    exhaustively; 0 leaves every pair to the heuristic. A pair within the
-    cutoff whose class sizes alone certify it (_sizes_certify) is skipped. The
-    rest go through classify_pair, a <= b in lexicographic order, so the first
-    error raised is the one a walk over every pair would raise.
+    A pair within EXHAUSTIVE_CUTOFF whose class sizes alone certify it
+    (_sizes_certify) is skipped. The rest go through classify_pair, a <= b in
+    lexicographic order, so the first error raised is the one a walk over
+    every pair would raise.
     """
     eps = require_epsilon(eps)
-    _require_cutoff(cutoff)
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     lo = {c.size: _min_qualifying_size(eps, c.size) for c in p}
 
     def decided(s, t):
-        return s + t <= cutoff and _sizes_certify(lo[s], s, lo[t], t)
+        return s + t <= EXHAUSTIVE_CUTOFF and _sizes_certify(lo[s], s, lo[t], t)
 
     # per class size s, ascending indices of the classes whose size pair is open
     partners = {s: [b for b, c in enumerate(p) if not decided(s, c.size)] for s in lo}
@@ -411,7 +415,7 @@ def check_partition(g, p, eps, cutoff=EXHAUSTIVE_CUTOFF):
     for a, cls_a in enumerate(p):
         row = partners[cls_a.size]
         for b in row[bisect_left(row, a) :]:
-            cls = classify_pair(g, cls_a, p[b], eps, cutoff)
+            cls = classify_pair(g, cls_a, p[b], eps)
             if cls.kind != REGULAR_CERTIFIED:
                 flagged[(a, b)] = cls
     return RegularityReport(partition=p, eps=eps, flagged=flagged)

@@ -148,28 +148,6 @@ class TestRegularize:
         assert err.startswith("error: ") and f"vertex count {count} is too large" in err
         assert "Traceback" not in err
 
-    def test_cutoff_flag(self, tmp_path, capsys):
-        # the one-class pair of 8 + 8 vertices is certified exhaustively
-        # under the default cutoff and sent to the heuristic tier below 16
-        graph = tmp_path / "g.txt"
-        graph.write_text("")
-        argv = ["regularize", "--graph", graph, "--n", 8, "--epsilon", "1/4"]
-        code, out, _ = run(capsys, *argv)
-        assert (code, json.loads(out)["status"]) == (0, "regular")
-        code, out, _ = run(capsys, *argv, "--cutoff", 15)
-        assert (code, json.loads(out)["status"]) == (2, "heuristically_regular")
-
-    def test_bad_cutoff_before_budget_stop(self, tmp_path, capsys):
-        # --max-classes 0 stops the run before any pair is checked
-        graph = tmp_path / "g.txt"
-        graph.write_text("")
-        code, out, err = run(
-            capsys, "regularize", "--graph", graph, "--n", 10, "--epsilon", "1/4",
-            "--cutoff", 500, "--max-classes", 0,
-        )
-        assert code == 1 and out == ""
-        assert err == "error: cutoff must be in 0..26, got 500\n"
-
     def test_bad_epsilon(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
         for eps in ("0", "1e-3", "junk"):
@@ -230,22 +208,28 @@ class TestCheck:
         assert body["balance"]["balanced"] is False
         assert body["core_irregularity"] is None
 
-    def test_cutoff_out_of_range(self, tmp_path, capsys):
-        graph, part = write_single_edge(tmp_path)
-        argv = ["check", "--graph", graph, "--partition", part, "--epsilon", "2/5"]
-        for cutoff in (-1, 27, 500):
-            code, out, err = run(capsys, *argv, "--cutoff", cutoff)
-            assert code == 1 and out == ""
-            assert err == f"error: cutoff must be in 0..26, got {cutoff}\n"
-
     def test_no_vertex_count_flag(self, tmp_path, capsys):
         # check reads n from the partition file; only regularize takes --n
         graph, part = write_single_edge(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["check", "--graph", str(graph), "--partition", str(part),
                   "--epsilon", "2/5", "--n", "4"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --n 4" in capsys.readouterr().err
+
+    def test_usage_error_exits_one(self, tmp_path, capsys):
+        # exit 2 means heuristically regular, so a usage error such as the
+        # removed --cutoff flag must not exit 2; --help still exits 0
+        graph, part = write_single_edge(tmp_path)
+        argv = ["check", "--graph", str(graph), "--partition", str(part), "--epsilon", "2/5"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cutoff", "10"])
+        out = capsys.readouterr()
+        assert exc.value.code == 1 and out.out == ""
+        assert "unrecognized arguments: --cutoff 10" in out.err
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
 
     def test_round_trip_consistency(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)

@@ -15,7 +15,6 @@ from conftest import random_graph
 import regpart
 from regpart import (
     BadEpsilonError,
-    BadParamsError,
     Graph,
     InvalidPartitionError,
     Partition,
@@ -115,20 +114,6 @@ class TestRegularize:
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
-
-    def test_bad_cutoff_before_budget_stop(self):
-        # max_classes=0 stops the run before any check_partition call
-        with pytest.raises(BadParamsError):
-            regularize(Graph.empty(10), None, Fraction(1, 4), cutoff=500, max_classes=0)
-
-    def test_cutoff_routes_auto_to_heuristic(self):
-        # an edgeless pair is certified by the exhaustive tier; the
-        # heuristic tier finds no witness and certifies nothing
-        g = Graph.empty(8)
-        assert regularize(g, None, Fraction(1, 4)).status == "regular"
-        trace = regularize(g, None, Fraction(1, 4), cutoff=15)
-        assert trace.status == "heuristically_regular"
-        assert trace.final_report.has_unknown()
 
     def test_mismatched_p0(self):
         with pytest.raises(InvalidPartitionError):

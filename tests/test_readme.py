@@ -64,7 +64,7 @@ def test_named_flags_exist(capsys):
     # every --flag the README names outside Install belongs to some subcommand
     text = README.read_text().replace(section("Install"), "")
     named = set(FLAG.findall(text))
-    assert "--cutoff" in named
+    assert "--max-classes" in named
     commands = re.search(r"\{([\w,]+)\}", help_text(capsys)).group(1).split(",")
     accepted = {flag for c in commands for flag in FLAG.findall(help_text(capsys, c))}
     assert named <= accepted, sorted(named - accepted)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition
 from regpart import (
-    BadParamsError,
     EmptySetError,
     Graph,
     InvalidWitnessError,
@@ -202,19 +201,45 @@ class TestCheckPairExhaustive:
         assert w.d_ij == Fraction(1, 4)
 
     def test_witness_between_min_and_full_size(self):
-        # one edge from I = {0..3} to J = {4, 5} at eps = 1/8: X = I stays in
-        # the band (d(I, {4}) = 1/4 against d(I, J) = 1/8), every |X| >= 1
-        # qualifies, and the largest violating X size is 3, strictly between
-        # the minimum 1 and |I|; the first such X is {0, 1, 2}
-        g = Graph.from_edges(6, [(0, 4)])
-        i = VertexSet.from_iterable(range(4), 6)
-        j = VertexSet.from_iterable([4, 5], 6)
-        eps = Fraction(1, 8)
+        # edges (0, 3) and (0, 4) from I = {0, 1, 2} to J = {3..6} at
+        # eps = 1/4, so |X| >= 1 and |Y| >= 2 qualify. X = I stays in the
+        # band (d(I, {3, 4}) = 1/3 against d(I, J) = 1/6), and the largest
+        # violating X size is 2, strictly between the minimum 1 and |I|; the
+        # first such X is {0, 1}, and its farthest Y of the largest violating
+        # size, 2, is {3, 4}
+        g = Graph.from_edges(7, [(0, 3), (0, 4)])
+        i = VertexSet.from_iterable(range(3), 7)
+        j = VertexSet.from_iterable(range(3, 7), 7)
+        eps = Fraction(1, 4)
         clf = check_pair_exhaustive(g, i, j, eps)
         assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
         w = clf.witness
-        assert (w.x.members(), w.y.members()) == ((0, 1, 2), (4,))
-        assert (w.d_xy, w.d_ij) == (Fraction(1, 3), Fraction(1, 8))
+        assert (w.x.members(), w.y.members()) == ((0, 1), (3, 4))
+        assert (w.d_xy, w.d_ij) == (Fraction(1, 2), Fraction(1, 6))
+
+    def test_skewed_irregular_pair_from_its_smaller_side(self):
+        # a 22+2 pair from the README's noisy half-graph run (n = 256, seed
+        # 1, eps = 1/4): enumerating the 22-vertex side took 1.5-2.0 s; the
+        # 2-vertex side is enumerated instead and the witness is mirrored
+        n = 256
+        rng = random.Random(1)
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u + v >= n) != (rng.randrange(8) == 0)
+        ]
+        g = Graph.from_edges(n, edges)
+        i = VertexSet.from_iterable(range(78, 100), n)
+        j = VertexSet.from_iterable([173, 181], n)
+        eps = Fraction(1, 4)
+        start = time.perf_counter()
+        clf = check_pair_exhaustive(g, i, j, eps)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"took {elapsed:.2f} s"
+        assert clf.kind == IRREGULAR_WITNESSED
+        validate_witness(g, i, j, eps, clf.witness)
+        assert clf.witness.y == j
 
     def test_skewed_regular_pair_within_time_budget(self):
         # complete 20+4 at eps = 1/4: certified from X of size 6 alone,
@@ -298,13 +323,20 @@ class TestCheckPairExhaustive:
 def reference_exhaustive(g, i, j, eps):
     """The plain enumeration the fast kernel must reproduce witness for witness.
 
-    X is the first violating X by size descending, lexicographic within a
-    size, and |Y| the largest violating size for that X. Among the Y of that
-    size in lexicographic order, the first of the largest density and the
-    first of the smallest are compared, and the one farther from d(I,J) is
+    When |I| > |J| this is the reference of (J, I), mirrored. Otherwise X is
+    the first violating X by size descending, lexicographic within a size,
+    and |Y| the largest violating size for that X. Among the Y of that size
+    in lexicographic order, the first of the largest density and the first
+    of the smallest are compared, and the one farther from d(I,J) is
     reported, the denser on a tie. Every sub-pair is compared with Fractions.
     Returns (kind,) or (kind, x, y, d_xy, d_ij).
     """
+    if i.size > j.size:
+        kind, *witness = reference_exhaustive(g, j, i, eps)
+        if not witness:
+            return (kind,)
+        y, x, d_xy, d_ij = witness
+        return (kind, x, y, d_xy, d_ij)
     d_ij = density(g, i, j)
     mi, mj = i.members(), j.members()
     ys_by_size = [
@@ -366,6 +398,17 @@ class TestExhaustiveMatchesReference:
         g, i, j = pair
         clf = check_pair_exhaustive(g, i, j, eps)
         assert classification_key(clf) == reference_exhaustive(g, i, j, eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_pairs(), st.sampled_from(PAIR_EPS))
+    def test_transposed_pair_mirrors(self, pair, eps):
+        # the smaller side is enumerated either way, I on a tie
+        g, i, j = pair
+        clf = check_pair_exhaustive(g, i, j, eps)
+        transposed = check_pair_exhaustive(g, j, i, eps)
+        assert clf.kind == transposed.kind
+        if i.size != j.size:
+            assert classification_key(transposed) == classification_key(clf.mirrored())
 
     @staticmethod
     def witness_from_i(edges, n, eps=Fraction(1, 8)):
@@ -541,35 +584,6 @@ class TestCheckPartition:
         assert rep.verdict == VERDICT_REGULAR and rep.flagged == {}
         assert len(rep.classifications) == 900
 
-    def test_cutoff_zero_makes_no_exhaustive_call(self, monkeypatch):
-        # classes of 1, 2, 3 and 8: with cutoff 0 even the size-decided
-        # pairs go to the heuristic, which certifies nothing
-        calls = []
-        kernel = regularity.check_pair_exhaustive
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(regularity, "check_pair_exhaustive", counting)
-        g = gnp(14, Fraction(1, 2), seed=4)
-        p = Partition.from_sets([[0], [1, 2], [3, 4, 5], list(range(6, 14))], 14)
-        rep = check_partition(g, p, Fraction(1, 4), cutoff=0)
-        assert calls == []
-        assert sorted(rep.flagged) == [(a, b) for a in range(4) for b in range(a, 4)]
-        check_partition(g, p, Fraction(1, 4))
-        assert calls
-
-    def test_cutoff_range(self, monkeypatch):
-        g, p = single_edge()
-        for cutoff in (0, 26):
-            check_partition(g, p, Fraction(2, 5), cutoff=cutoff)
-        # rejected once per call, before any pair is classified
-        monkeypatch.setattr(regularity, "classify_pair", None)
-        for cutoff in (-1, 27):
-            with pytest.raises(BadParamsError, match=f"got {cutoff}"):
-                check_partition(g, p, Fraction(2, 5), cutoff=cutoff)
-
     def test_report_rejects_keys_outside_its_pairs(self):
         g, p = single_edge()
         eps = Fraction(2, 5)
@@ -581,7 +595,7 @@ class TestCheckPartition:
                 RegularityReport(p, eps, {key: clf})
 
 
-def reference_report(g, p, eps, cutoff):
+def reference_report(g, p, eps):
     """The per-pair definition: classify_pair on every a <= b, mirrored onto (b, a).
 
     Returns (classifications, irregular_mass, verdict, witnesses, has_unknown);
@@ -589,7 +603,7 @@ def reference_report(g, p, eps, cutoff):
     """
     k = len(p)
     upper = {
-        (a, b): classify_pair(g, p[a], p[b], eps, cutoff)
+        (a, b): classify_pair(g, p[a], p[b], eps)
         for a in range(k)
         for b in range(a, k)
     }
@@ -611,11 +625,16 @@ def reference_report(g, p, eps, cutoff):
 
 
 @st.composite
-def mixed_partitions(draw):
-    """A graph on at most 14 vertices; classes of 1, 2 and 3 plus one of 4 to 8."""
-    sizes = [draw(st.integers(4, 8))]
+def mixed_partitions(draw, large=False):
+    """Classes of 1, 2 and 3 plus one of 4 to 8, on at most 14 vertices.
+
+    With large, the big class has 19 to 24 vertices and the graph at most
+    28, so some of its pairs exceed EXHAUSTIVE_CUTOFF and go to the heuristic.
+    """
+    low, high, limit = (19, 24, 28) if large else (4, 8, 14)
+    sizes = [draw(st.integers(low, high))]
     for size in draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=10)):
-        if sum(sizes) + size <= 14:
+        if sum(sizes) + size <= limit:
             sizes.append(size)
     n = sum(sizes)
     order = draw(st.permutations(range(n)))
@@ -630,7 +649,7 @@ def mixed_partitions(draw):
 class TestCheckPartitionMatchesPerPair:
     @settings(max_examples=200, deadline=None)
     @given(
-        mixed_partitions(),
+        st.one_of(mixed_partitions(), mixed_partitions(large=True)),
         st.sampled_from(
             [
                 Fraction(1, 8),
@@ -642,12 +661,11 @@ class TestCheckPartitionMatchesPerPair:
                 Fraction(1),
             ]
         ),
-        st.sampled_from([0, 2, 4, 26]),
     )
-    def test_same_report(self, graph_partition, eps, cutoff):
+    def test_same_report(self, graph_partition, eps):
         g, p = graph_partition
-        expected = reference_report(g, p, eps, cutoff)
-        rep = check_partition(g, p, eps, cutoff)
+        expected = reference_report(g, p, eps)
+        rep = check_partition(g, p, eps)
         full = rep.classifications
         assert list(full) == list(expected[0])
         assert (dict(full), rep.irregular_mass, rep.verdict) == expected[:3]
