@@ -167,11 +167,13 @@ def irregularity_refine(g, p, eps, witnesses):
         atoms = atom_partition(p[idx], per_class[idx])
         # witness sets are unions of new classes; a piece inside x ⊆ p[idx]
         # can only be an atom of p[idx], so checking those atoms suffices
+        atom_masks = [atom.mask for atom in atoms]
         for x in per_class[idx]:
+            outside = ~x.mask
             covered = 0
-            for atom in atoms:
-                if atom.issubset(x):
-                    covered |= atom.mask
+            for a in atom_masks:
+                if not a & outside:
+                    covered |= a
             ensure(covered == x.mask, "witness set not a union of atoms")
         pieces.extend(atoms)
     q = Partition(pieces)

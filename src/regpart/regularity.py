@@ -12,12 +12,14 @@ of regularity. Since d(X, Y) = d(Y, X), the exhaustive kernel enumerates the
 smaller side, I on a tie. Its witness takes the first violating sub-pair of
 that side met by size descending, lexicographic within a size, and for it the
 set of the other side farthest from d(I,J) among those of the largest
-violating size; found from J's side, it is mirrored, so X stays in I and Y in
-J. When eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as for any pair of
-singletons, no sub-pair but (I, J) itself can qualify: the space holds at most
-that one candidate, whose gap is 0, and the pair is certified without reading
-the graph; check_partition applies this test once per pair of class sizes and
-never visits such pairs. Pairs too large to exhaust go through a sound but
+violating size. The witness is built once, already oriented: found from J's
+side, its two sets are swapped back, so X stays in I and Y in J, and a side
+that spans its whole class is that class's own VertexSet. When
+eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as for any pair of singletons, no
+sub-pair but (I, J) itself can qualify: the space holds at most that one
+candidate, whose gap is 0, and the pair is certified without reading the graph;
+check_partition applies this test once per pair of class sizes and never
+visits such pairs. Pairs too large to exhaust go through a sound but
 incomplete heuristic, and an unresolved pair is reported as "unknown, treated
 as regular", never as certified. A partition's report stores each witnessed or
 unknown pair once, as (a, b) with a <= b.
@@ -144,14 +146,31 @@ def _band(e_ij, m_ij, eps):
     return e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
 
 
+def _first_violating_x(cols, bits, sx, lo_y, hi, lo, den):
+    """Mask of the lexicographically first X of sx of the bits that violates.
+
+    cols are the columns of J restricted to I. X violates when e, its edges
+    to the lo_y members of J with the most (or the fewest) edges into X, has
+    e den > hi sx lo_y (or e den < lo sx lo_y). None when no X does.
+    """
+    cut = len(cols) - lo_y
+    top, bottom = hi * sx * lo_y, lo * sx * lo_y
+    for xs in combinations(bits, sx):
+        x_mask = sum(xs)
+        ranked = sorted([(col & x_mask).bit_count() for col in cols])
+        if sum(ranked[cut:]) * den > top or sum(ranked[:lo_y]) * den < bottom:
+            return x_mask
+    return None
+
+
 def check_pair_exhaustive(g, i, j, eps):
     """Decide pair regularity by subset enumeration at the minimum sizes, in integers.
 
     Regularity is symmetric, since e(X, Y) = e(Y, X), so the search
     enumerates the smaller side: below, I is that side, the given I on a
-    tie. When it is the given J, a certificate carries over as it is and a
-    witness is mirrored, so its x lies in the given I and its y in the
-    given J.
+    tie. When it is the given J, a certificate carries over as it is, and
+    the witness's two sets are swapped back as it is built, so its x lies in
+    the given I and its y in the given J.
 
     Let lo_x and lo_y be the least sizes above eps|I| and eps|J|. e(X, Y) is
     additive over the members of either side, so for a fixed Y the largest
@@ -162,25 +181,28 @@ def check_pair_exhaustive(g, i, j, eps):
     sizes with a violation form one range lo_x..s*, and for a fixed X some Y
     violates exactly when the sum of the top or bottom lo_y per-vertex counts
     (prefix sums of the sorted counts) leaves the band. With eps = en/ed and
-    e_ij the edge count of the pair, the band d(I,J) +- eps scaled by |X||Y|
-    is the integers top = floor(hi |X||Y|) and bottom = ceil(lo |X||Y|):
-    edge counts are integers, so e(X,Y) violates exactly when e > top or
-    e < bottom.
+    e_ij the edge count of the pair, d(I,J) + eps = hi/den and
+    d(I,J) - eps = lo/den for integers hi, lo and den = |I||J| ed, so
+    e(X, Y) = e violates exactly when e den > hi |X||Y| or
+    e den < lo |X||Y|.
 
-    The search tests X = I first; if it violates, s* = |I|. Otherwise it
-    scans size lo_x in lexicographic order, and if no X there violates, the
-    pair is RegularCertified. Else it climbs one size at a time, keeps each
-    size's first violating X and stops at the first size with none. The
-    witness's X is the first one a walk over X by size descending,
-    lexicographic within a size, meets: the first violating X of size s*.
-    Its Y has the largest size sy with a violation for that X, and is the
-    one of that size farthest from d(I,J): the sy members of J with the
-    most edges into X, or the sy with the fewest when those lie strictly
-    farther, ranked by count and then by index. No Fraction is formed until
-    a witness is returned. Two spaces are exhausted before any edge is
-    counted: an empty one, and the one-candidate space in which
-    eps|I| < |X| forces X = I and eps|J| < |Y| forces Y = J, whose gap
-    |d(I,J) - d(I,J)| is 0.
+    The search tests X = I first, from the per-vertex counts that also give
+    e_ij; if it violates, s* = |I| and those counts rank Y. If it does not
+    and lo_x = |I|, no other X qualifies and the pair is RegularCertified.
+    Otherwise it scans size lo_x in lexicographic order, and if no X there
+    violates, the pair is RegularCertified. Else it climbs one size at a
+    time, keeps each size's first violating X and stops at the first size
+    with none. The witness's X is the first one a walk over X by size
+    descending, lexicographic within a size, meets: the first violating X
+    of size s*. Its Y has the largest size sy with a violation for that X,
+    and is the one of that size farthest from d(I,J): the sy members of J
+    with the most edges into X, or the sy with the fewest when those lie
+    strictly farther, ranked by count and then by index. X = I and Y = J are
+    the given classes themselves. No Fraction is formed until a witness is
+    returned, and d_xy's numerator is the prefix sum of the chosen side.
+    Two spaces are exhausted before any edge is counted: an empty one, and
+    the one-candidate space in which eps|I| < |X| forces X = I and
+    eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
     The empty-side and size checks still come first, so a pair larger than
     EXHAUSTIVE_CUTOFF raises TooLargeError whatever eps is.
     """
@@ -197,49 +219,46 @@ def check_pair_exhaustive(g, i, j, eps):
     swap = i.size > j.size
     if swap:
         i, j = j, i
-    lo_x = _min_qualifying_size(eps, i.size)
-    lo_y = _min_qualifying_size(eps, j.size)
+    # _min_qualifying_size and _band, inlined: this runs once per class pair
+    en, ed = eps.numerator, eps.denominator
+    lo_x = en * i.size // ed + 1
+    lo_y = en * j.size // ed + 1
     if _sizes_certify(lo_x, i.size, lo_y, j.size):
         return _REGULAR
 
-    bits_i = [1 << u for u in i.members()]
     members_j = j.members()
     cols = [g.rows[v] & i.mask for v in members_j]
-    total = len(cols)
-    e_ij = sum(col.bit_count() for col in cols)  # the graph is symmetric
+    counts = [col.bit_count() for col in cols]  # into X = I
+    ranked = sorted(counts)
+    total, cut = len(cols), len(cols) - lo_y
+    e_ij = sum(ranked)  # the graph is symmetric
     m_ij = i.size * j.size
-    hi, lo, den = _band(e_ij, m_ij, eps)
-
-    def bounds(sx, sy):
-        return hi * sx * sy // den, -(-lo * sx * sy // den)
-
-    def first_violating_x(sx):
-        """Mask of the lexicographically first X of size sx that some Y violates."""
-        top, bottom = bounds(sx, lo_y)
-        cut = total - lo_y
-        for xs in combinations(bits_i, sx):
-            x_mask = sum(xs)
-            counts = sorted([(col & x_mask).bit_count() for col in cols])
-            if sum(counts[cut:]) > top or sum(counts[:lo_y]) < bottom:
-                return x_mask
-        return None
+    hi, lo, den = e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
 
     sx = i.size
-    x_mask = first_violating_x(sx)
-    if x_mask is None:
+    top, bottom = hi * sx * lo_y, lo * sx * lo_y
+    if sum(ranked[cut:]) * den <= top and sum(ranked[:lo_y]) * den >= bottom:
+        if lo_x == sx:
+            return _REGULAR
+        bits_i = [1 << u for u in i.members()]
         sx = lo_x
-        x_mask = first_violating_x(sx)
+        x_mask = _first_violating_x(cols, bits_i, sx, lo_y, hi, lo, den)
         if x_mask is None:
             return _REGULAR
-        while sx + 1 < i.size and (wider := first_violating_x(sx + 1)) is not None:
+        while sx + 1 < i.size:
+            wider = _first_violating_x(cols, bits_i, sx + 1, lo_y, hi, lo, den)
+            if wider is None:
+                break
             sx, x_mask = sx + 1, wider
+        counts = [(col & x_mask).bit_count() for col in cols]
+        ranked = sorted(counts)
 
-    counts = [(col & x_mask).bit_count() for col in cols]
-    prefix = list(accumulate(sorted(counts), initial=0))
+    prefix = list(accumulate(ranked, initial=0))
     e_x = prefix[total]
+    hi_sx, lo_sx = hi * sx, lo * sx
     for sy in range(j.size, lo_y - 1, -1):
-        top, bottom = bounds(sx, sy)
-        if e_x - prefix[total - sy] > top or prefix[sy] < bottom:
+        e_dense, e_sparse = e_x - prefix[total - sy], prefix[sy]
+        if e_dense * den > hi_sx * sy or e_sparse * den < lo_sx * sy:
             break
     else:
         # an explicit raise, not an assert, so that python -O keeps the check
@@ -248,20 +267,25 @@ def check_pair_exhaustive(g, i, j, eps):
         )
     # report the densest Y of size sy or the sparsest, whichever lies farther
     # from d(I,J), the densest on a tie: one of them violates, so that one
-    # does. Members are ranked by count into X, then by index.
+    # does. Members are ranked by count into X, then by index: a sort with
+    # reverse=True is still stable, so ties keep ascending index order.
     scaled_ij = e_ij * sx * sy
-    dense_gap = abs((e_x - prefix[total - sy]) * m_ij - scaled_ij)
-    sign = -1 if dense_gap >= abs(prefix[sy] * m_ij - scaled_ij) else 1
-    pick = sorted(range(total), key=lambda idx: (sign * counts[idx], idx))[:sy]
+    dense = abs(e_dense * m_ij - scaled_ij) >= abs(e_sparse * m_ij - scaled_ij)
+    x = i if sx == i.size else VertexSet(x_mask, g.n)
+    if sy == j.size:
+        y = j
+    else:
+        pick = sorted(range(total), key=counts.__getitem__, reverse=dense)[:sy]
+        y = VertexSet(sum(1 << members_j[idx] for idx in pick), g.n)
+    if swap:
+        x, y = y, x
     witness = PairWitness(
-        x=VertexSet(x_mask, g.n),
-        y=VertexSet.from_iterable((members_j[idx] for idx in pick), g.n),
-        d_xy=Fraction(sum(counts[idx] for idx in pick), sx * sy),
+        x=x,
+        y=y,
+        d_xy=Fraction(e_dense if dense else e_sparse, sx * sy),
         d_ij=Fraction(e_ij, m_ij),
     )
-    return PairClassification(
-        IRREGULAR_WITNESSED, witness.mirrored() if swap else witness
-    )
+    return PairClassification(IRREGULAR_WITNESSED, witness)
 
 
 def find_witness_heuristic(g, i, j, eps):

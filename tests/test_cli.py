@@ -1,5 +1,8 @@
+import hashlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -643,3 +646,47 @@ def test_golden_check_output(tmp_path, capsys, case):
     assert code == exit_code
     assert got == json.dumps({**head, **fields}, indent=2) + "\n"
     assert err == f"verdict {fields['verdict']}; balanced={fields['balance']['balanced']}\n"
+
+
+def _bench_inputs():
+    """bench/inputs.py, loaded from its file without touching the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 of stdout, --out and --trace for `regularize --epsilon 1/8` on the
+# graded-refine benchmark input (graded n=192), per seed: a speed-up of any
+# layer must leave the benchmark's own outputs byte for byte as they were
+GOLDEN_GRADED_SHA256 = {
+    1: (
+        "d0a96bd27b48d561e5a55c97bc65bde2c0907d9129a94e80dd1f61af2ac274cd",
+        "3bb44ba80aa3f53a34aedec6caa1aaef03f369b634f9cf96f5ed572b6d2d7a3e",
+        "2b4af3b6346dbcfa3c571398540d2150d5d526fe85d2aa522b3a9a8c6f49dafb",
+    ),
+    2: (
+        "03c55ada715b72a9f27a3aaac35d83a8793a1f7dd344d6234c976fbb339cfd35",
+        "ea0d3e663c53e2946941e2dc703a95a39d05bf2432746d3764bc61dc18235ccc",
+        "e8d6965ee5b702ba1967cb74d0b0789e0af8cb027595297fac20c97223e94de3",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_GRADED_SHA256))
+def test_golden_graded_benchmark_input(tmp_path, capsys, seed):
+    inputs = _bench_inputs()
+    graph = tmp_path / "g.txt"
+    inputs.write_file(graph, inputs.edge_list_text(inputs.graded_edges(192, seed)))
+    out_path, trace_path = tmp_path / "o.txt", tmp_path / "t.json"
+    code, got, _ = run(
+        capsys, "regularize", "--graph", graph, "--epsilon", "1/8",
+        "--out", out_path, "--trace", trace_path,
+    )
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (got.encode(), out_path.read_bytes(), trace_path.read_bytes())
+    )
+    assert digests == GOLDEN_GRADED_SHA256[seed]

@@ -154,6 +154,33 @@ class TestPythagoras:
                 assert frobenius_sq(mr) == energy(g, r)
             assert frobenius_sq(mp) == energy(g, p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_energy_on_singleton_heavy_partitions(self, data):
+        # energy sums the singleton-singleton blocks as one term and counts a
+        # singleton's blocks with a larger class twice; the oracle does neither
+        kind = data.draw(st.sampled_from(["singletons", "no singletons", "mixed"]))
+        big = st.integers(2, 8)
+        if kind == "singletons":
+            sizes = [1] * data.draw(st.integers(1, 24))
+        elif kind == "no singletons":
+            sizes = data.draw(st.lists(big, min_size=1, max_size=5))
+        else:
+            sizes = data.draw(st.lists(st.just(1) | big, min_size=2, max_size=10))
+            sizes += [1, data.draw(big)]
+        n = sum(sizes)
+        order = data.draw(st.permutations(range(n)))
+        pairs = list(combinations(range(n), 2))
+        adjacent = data.draw(
+            st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+        )
+        g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        p = Partition.from_sets(
+            [order[s : s + size] for s, size in zip(starts, sizes)], n
+        )
+        assert energy(g, p) == frobenius_sq(project_partition(DenseMatrix.from_graph(g), p))
+
 
 @st.composite
 def capped_pairs(draw):

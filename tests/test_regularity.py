@@ -303,6 +303,45 @@ class TestCheckPairExhaustive:
         with pytest.raises(TooLargeError):
             check_pair_exhaustive(g, i, j, Fraction(99, 100))
 
+    def test_regular_one_plus_two_pair_enumerates_nothing(self, monkeypatch):
+        # X = I is the only X of a 1-vertex side: once its counts stay in
+        # the band, the pair is certified without scanning that X again
+        calls = []
+        monkeypatch.setattr(
+            regularity, "combinations", lambda *args: calls.append(args) or iter(())
+        )
+        g = Graph.from_edges(3, [(0, 1), (0, 2)])
+        one = VertexSet.from_iterable([0], 3)
+        two = VertexSet.from_iterable([1, 2], 3)
+        for i, j in ((one, two), (two, one)):
+            assert check_pair_exhaustive(g, i, j, Fraction(1, 8)).kind == REGULAR_CERTIFIED
+        assert calls == []
+
+    def test_witness_built_in_the_callers_orientation(self, monkeypatch):
+        # I = {0, 1} and J = {2..5} with edges from both of I to 2 and 3:
+        # X = I violates with Y = {2, 3}. Given as (J, I), the 2-vertex side
+        # is enumerated and the witness comes out oriented, not mirrored
+        def mirrored(self):
+            raise AssertionError("witness mirrored inside the kernel")
+
+        monkeypatch.setattr(PairWitness, "mirrored", mirrored)
+        g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        i = VertexSet.from_iterable([0, 1], 6)
+        j = VertexSet.from_iterable(range(2, 6), 6)
+        eps = Fraction(1, 4)
+        w = check_pair_exhaustive(g, j, i, eps).witness
+        validate_witness(g, j, i, eps, w)
+        assert (w.x.members(), w.y.members()) == ((2, 3), (0, 1))
+        assert w.y is i
+
+    def test_witness_with_x_equal_to_i_reuses_i(self):
+        g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        i = VertexSet.from_iterable([0, 1], 6)
+        j = VertexSet.from_iterable(range(2, 6), 6)
+        w = check_pair_exhaustive(g, i, j, Fraction(1, 4)).witness
+        assert w.x == i and w.x is i
+        assert (w.y.members(), w.d_xy, w.d_ij) == ((2, 3), 1, Fraction(1, 2))
+
     def test_every_witness_validates(self):
         rng = random.Random(23)
         found = 0
