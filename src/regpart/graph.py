@@ -357,12 +357,17 @@ class Partition:
         return f"Partition[{body}]"
 
 
-def adjacent_pair_count(g, i, j):
-    """Number of ordered pairs (u, v) in i x j with u adjacent to v."""
+def require_block(g, i, j):
+    """Raise unless i and j are nonempty vertex sets sized for g."""
     if i.capacity != g.n or j.capacity != g.n:
         raise ValueError("vertex sets sized for a different graph")
     if i.size == 0 or j.size == 0:
-        raise EmptySetError("density needs nonempty sets on both sides")
+        raise EmptySetError("a block needs nonempty sets on both sides")
+
+
+def adjacent_pair_count(g, i, j):
+    """Number of ordered pairs (u, v) in i x j with u adjacent to v."""
+    require_block(g, i, j)
     jm = j.mask
     return sum((g.rows[u] & jm).bit_count() for u in i.members())
 

@@ -14,12 +14,12 @@ that side met by size descending, lexicographic within a size, and for it the
 set of the other side farthest from d(I,J) among those of the largest
 violating size. The witness is built once, already oriented: found from J's
 side, its two sets are swapped back, so X stays in I and Y in J, and a side
-that spans its whole class is that class's own VertexSet. When
-eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as for any pair of singletons, no
-sub-pair but (I, J) itself can qualify: the space holds at most that one
-candidate, whose gap is 0, and the pair is certified without reading the graph;
-check_partition applies this test once per pair of class sizes and never
-visits such pairs. Pairs too large to exhaust go through a sound but
+that spans its whole class is that class's own VertexSet. classify_pair routes
+a pair by one admission rule: when eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
+for any pair of singletons, no sub-pair but (I, J) itself qualifies, its gap is
+0, and the pair is certified at any size without reading the graph
+(check_partition makes this test once per pair of class sizes). Any other pair
+is exhausted when |I| + |J| <= EXHAUSTIVE_CUTOFF, else goes through a sound but
 incomplete heuristic, and an unresolved pair is reported as "unknown, treated
 as regular", never as certified. A partition's report stores each witnessed or
 unknown pair once, as (a, b) with a <= b.
@@ -32,15 +32,14 @@ from itertools import accumulate, combinations
 from numbers import Rational
 
 from .errors import (
-    EmptySetError,
     InvalidPartitionError,
     InvalidWitnessError,
     TooLargeError,
 )
-from .graph import VertexSet, adjacent_pair_count, density, require_epsilon
+from .graph import VertexSet, adjacent_pair_count, require_block, require_epsilon
 
 # The largest |I| + |J| that check_pair_exhaustive enumerates; classify_pair
-# routes every larger pair to the heuristic.
+# routes every larger pair its sizes do not decide to the heuristic.
 EXHAUSTIVE_CUTOFF = 26
 
 REGULAR_CERTIFIED = "regular_certified"
@@ -131,9 +130,10 @@ def _min_qualifying_size(eps, class_size):
     return eps.numerator * class_size // eps.denominator + 1
 
 
-def _sizes_certify(lo_x, size_i, lo_y, size_j):
-    """True when no sub-pair qualifies, or only (I, J) itself, whose gap is 0."""
-    return lo_x > size_i or lo_y > size_j or (lo_x == size_i and lo_y == size_j)
+def _sizes_certify(eps, s, t):
+    """True when no sub-pair of an s+t pair qualifies, or only (I, J), gap 0."""
+    lo_x, lo_y = _min_qualifying_size(eps, s), _min_qualifying_size(eps, t)
+    return lo_x > s or lo_y > t or (lo_x == s and lo_y == t)
 
 
 def _band(e_ij, m_ij, eps):
@@ -203,28 +203,22 @@ def check_pair_exhaustive(g, i, j, eps):
     Two spaces are exhausted before any edge is counted: an empty one, and
     the one-candidate space in which eps|I| < |X| forces X = I and
     eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
-    The empty-side and size checks still come first, so a pair larger than
+    The side checks and the size limit come first, so a pair larger than
     EXHAUSTIVE_CUTOFF raises TooLargeError whatever eps is.
     """
     eps = require_epsilon(eps)
-    if i.size == 0 or j.size == 0:
-        raise EmptySetError("cannot classify a pair with an empty side")
+    require_block(g, i, j)
     if i.size + j.size > EXHAUSTIVE_CUTOFF:
         raise TooLargeError(
             f"|i| + |j| = {i.size + j.size} exceeds the exhaustive limit "
             f"{EXHAUSTIVE_CUTOFF}"
         )
-    if i.capacity != g.n or j.capacity != g.n:
-        raise ValueError("vertex sets sized for a different graph")
+    if _sizes_certify(eps, i.size, j.size):
+        return _REGULAR
     swap = i.size > j.size
     if swap:
         i, j = j, i
-    # _min_qualifying_size and _band, inlined: this runs once per class pair
-    en, ed = eps.numerator, eps.denominator
-    lo_x = en * i.size // ed + 1
-    lo_y = en * j.size // ed + 1
-    if _sizes_certify(lo_x, i.size, lo_y, j.size):
-        return _REGULAR
+    lo_x, lo_y = _min_qualifying_size(eps, i.size), _min_qualifying_size(eps, j.size)
 
     members_j = j.members()
     cols = [g.rows[v] & i.mask for v in members_j]
@@ -233,7 +227,7 @@ def check_pair_exhaustive(g, i, j, eps):
     total, cut = len(cols), len(cols) - lo_y
     e_ij = sum(ranked)  # the graph is symmetric
     m_ij = i.size * j.size
-    hi, lo, den = e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
+    hi, lo, den = _band(e_ij, m_ij, eps)
 
     sx = i.size
     top, bottom = hi * sx * lo_y, lo * sx * lo_y
@@ -291,63 +285,66 @@ def check_pair_exhaustive(g, i, j, eps):
 def find_witness_heuristic(g, i, j, eps):
     """Look for a witness by degree deviation; sound but incomplete.
 
-    Collects the vertices of i whose single-vertex density against j deviates
-    from d(I,J) by more than eps/2 (high side X+, low side X-), pairs each with
-    either the matching co-neighborhood deviation subset of j or with j itself,
-    and returns the first candidate that survives exact witness validation.
-    With no validated candidate the pair is UnknownTreatedAsRegular: this tier
-    never certifies anything.
+    Counts each vertex of i into j once (the counts sum to e(I, J)) and keeps
+    those deviating from d(I,J) by more than eps/2 (high side X+, low side X-).
+    Each X is paired with the matching deviation subset of j, then with j
+    itself, from one count per vertex of j into X, and the first candidate
+    that survives exact witness validation is returned. With no validated
+    candidate the pair is UnknownTreatedAsRegular: this tier never certifies.
     """
     eps = require_epsilon(eps)
-    if i.size == 0 or j.size == 0:
-        raise EmptySetError("cannot classify a pair with an empty side")
-    e_ij = adjacent_pair_count(g, i, j)
+    require_block(g, i, j)
+    rows, jm = g.rows, j.mask
+    counts = {u: (rows[u] & jm).bit_count() for u in i.members()}
+    e_ij = sum(counts.values())
     m_ij = i.size * j.size
     d_ij = Fraction(e_ij, m_ij)
     hi, lo, den = _band(e_ij, m_ij, eps / 2)
 
     # count/size > hi/den, cross-multiplied: exact, and no Fraction per vertex
-    x_hi = 0
-    x_lo = 0
-    jm = j.mask
+    x_hi = x_lo = 0
     hi_j, lo_j = hi * j.size, lo * j.size
-    for u in i.members():
-        c_u = (g.rows[u] & jm).bit_count() * den
-        if c_u > hi_j:
+    for u, c_u in counts.items():
+        if c_u * den > hi_j:
             x_hi |= 1 << u
-        elif c_u < lo_j:
+        elif c_u * den < lo_j:
             x_lo |= 1 << u
 
-    candidates = []
     for x_mask, keep_high in ((x_hi, True), (x_lo, False)):
         if not x_mask:
             continue
         x = VertexSet(x_mask, g.n)
         hi_x, lo_x = hi * x.size, lo * x.size
-        co = 0
+        co = e_co = e_xj = 0
         for v in j.members():
-            c_v = (g.rows[v] & x_mask).bit_count() * den
-            if (keep_high and c_v > hi_x) or (not keep_high and c_v < lo_x):
+            c_v = (rows[v] & x_mask).bit_count()
+            e_xj += c_v
+            if (c_v * den > hi_x) if keep_high else (c_v * den < lo_x):
                 co |= 1 << v
-        if co:
-            candidates.append((x, VertexSet(co, g.n)))
-        candidates.append((x, j))
-
-    for x, y in candidates:
-        d_xy = density(g, x, y)
-        witness = PairWitness(x=x, y=y, d_xy=d_xy, d_ij=d_ij)
-        try:
-            validate_witness(g, i, j, eps, witness)
-        except InvalidWitnessError:
-            continue
-        return PairClassification(IRREGULAR_WITNESSED, witness)
+                e_co += c_v
+        ys = [(VertexSet(co, g.n), e_co)] if co else []
+        for y, e_xy in ys + [(j, e_xj)]:
+            witness = PairWitness(x, y, Fraction(e_xy, x.size * y.size), d_ij)
+            try:
+                validate_witness(g, i, j, eps, witness)
+            except InvalidWitnessError:
+                continue
+            return PairClassification(IRREGULAR_WITNESSED, witness)
     return _UNKNOWN
 
 
 def classify_pair(g, i, j, eps):
-    """Check exhaustively when |I| + |J| <= EXHAUSTIVE_CUTOFF, else heuristically."""
+    """Certify a pair its sizes decide, at any size; exhaust or search the rest.
+
+    Within EXHAUSTIVE_CUTOFF the kernel makes the size test (_sizes_certify)
+    itself; above it, the test is made here, before the heuristic.
+    """
     if i.size + j.size <= EXHAUSTIVE_CUTOFF:
         return check_pair_exhaustive(g, i, j, eps)
+    eps = require_epsilon(eps)
+    require_block(g, i, j)
+    if _sizes_certify(eps, i.size, j.size):
+        return _REGULAR
     return find_witness_heuristic(g, i, j, eps)
 
 
@@ -420,21 +417,18 @@ class RegularityReport:
 def check_partition(g, p, eps):
     """Classify every class pair of p (diagonal included), each a <= b once.
 
-    A pair within EXHAUSTIVE_CUTOFF whose class sizes alone certify it
-    (_sizes_certify) is skipped. The rest go through classify_pair, a <= b in
-    lexicographic order, so the first error raised is the one a walk over
-    every pair would raise.
+    A pair that classify_pair would certify by its class sizes alone
+    (_sizes_certify), at any size, is skipped, testing each size pair once.
+    The rest go through classify_pair, a <= b in lexicographic order, so the
+    first error raised is the one a walk over every pair would raise.
     """
     eps = require_epsilon(eps)
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
-    lo = {c.size: _min_qualifying_size(eps, c.size) for c in p}
-
-    def decided(s, t):
-        return s + t <= EXHAUSTIVE_CUTOFF and _sizes_certify(lo[s], s, lo[t], t)
-
+    sizes = {c.size for c in p}
+    open_ = {(s, t) for s in sizes for t in sizes if not _sizes_certify(eps, s, t)}
     # per class size s, ascending indices of the classes whose size pair is open
-    partners = {s: [b for b, c in enumerate(p) if not decided(s, c.size)] for s in lo}
+    partners = {s: [b for b, c in enumerate(p) if (s, c.size) in open_] for s in sizes}
     flagged = {}
     for a, cls_a in enumerate(p):
         row = partners[cls_a.size]

@@ -110,6 +110,17 @@ class TestRegularize:
         assert code == 2
         assert json.loads(out)["status"] == "heuristically_regular"
 
+    @pytest.mark.parametrize("eps", ["1", "39/40"])
+    def test_one_class_certified_by_size_near_eps_one(self, tmp_path, capsys, eps):
+        # one class of 40: eps * 40 >= 39 leaves (I, I) the only qualifying
+        # sub-pair, so the pair is certified by its size, past the cutoff too
+        graph = tmp_path / "g.txt"
+        code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", 40, "--p", "1/2", "--seed", 3, "--out", graph)
+        assert code == 0
+        code, out, _ = run(capsys, "regularize", "--graph", graph, "--epsilon", eps)
+        assert code == 0
+        assert json.loads(out)["status"] == "regular"
+
     def test_empty_graph_with_n(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("")
@@ -690,3 +701,25 @@ def test_golden_graded_benchmark_input(tmp_path, capsys, seed):
         for data in (got.encode(), out_path.read_bytes(), trace_path.read_bytes())
     )
     assert digests == GOLDEN_GRADED_SHA256[seed]
+
+
+# SHA-256 of `check` stdout on the large-check benchmark input (noisy
+# half-graph n=1024, seed 1, eight consecutive classes, eps 1/3): its large
+# pairs go to the heuristic tier, so this pins that tier's witnesses and
+# unknown pairs as the benchmark reports them
+GOLDEN_LARGE_CHECK_SHA256 = (
+    "cbb4060a2c09c82dab4d3a7f3b8f67f20ab85deccf3c7d432749dada8e1ba2e4"
+)
+
+
+def test_golden_large_check_benchmark_input(tmp_path, capsys):
+    inputs = _bench_inputs()
+    graph, part = tmp_path / "g.txt", tmp_path / "p.txt"
+    inputs.write_file(graph, inputs.edge_list_text(inputs.half_edges(1024, 1)))
+    classes = inputs.consecutive_classes((244, 244, 12, 12, 12, 12, 244, 244))
+    inputs.write_file(part, inputs.partition_text(classes))
+    code, got, _ = run(
+        capsys, "check", "--graph", graph, "--partition", part, "--epsilon", "1/3"
+    )
+    assert code == 2
+    assert hashlib.sha256(got.encode()).hexdigest() == GOLDEN_LARGE_CHECK_SHA256

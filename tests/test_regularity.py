@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -29,6 +31,7 @@ from regpart import (
     validate_witness,
 )
 from regpart.generate import gnp
+from regpart.io import plain
 from regpart.regularity import (
     IRREGULAR_WITNESSED,
     REGULAR_CERTIFIED,
@@ -517,6 +520,22 @@ class TestHeuristic:
         assert clf.kind == IRREGULAR_WITNESSED
         validate_witness(g, i, j, eps, clf.witness)
 
+    def test_falls_back_to_all_of_j(self):
+        # X = {0..4} is joined to all of {16..19} and each of 20..31 to one
+        # vertex of X. At eps = 1/4 the co-neighborhood {16..19} is too small
+        # (4 <= 16/4), so (X, J) is the witness, its density 32/80 taken from
+        # the same counts of J into X
+        edges = [(u, v) for u in range(5) for v in range(16, 20)]
+        edges += [(v % 5, v) for v in range(20, 32)]
+        g = Graph.from_edges(32, edges)
+        i = VertexSet.from_iterable(range(16), 32)
+        j = VertexSet.from_iterable(range(16, 32), 32)
+        eps = Fraction(1, 4)
+        w = find_witness_heuristic(g, i, j, eps).witness
+        validate_witness(g, i, j, eps, w)
+        assert w.x.members() == (0, 1, 2, 3, 4) and w.y is j
+        assert (w.d_xy, w.d_ij) == (Fraction(2, 5), Fraction(1, 8))
+
     def test_unknown_on_uniform_pair(self):
         g = Graph.complete(8)
         i = VertexSet.from_iterable(range(4), 8)
@@ -538,6 +557,42 @@ class TestHeuristic:
                         guess = find_witness_heuristic(g, p[a], p[b], eps)
                         assert guess.kind == UNKNOWN_TREATED_AS_REGULAR
 
+    def test_sets_for_another_graph_raise_before_counting(self):
+        g = Graph.empty(30)
+        i = VertexSet.from_iterable(range(20), 40)
+        j = VertexSet.from_iterable(range(20, 40), 40)
+        with pytest.raises(ValueError, match="sized for a different graph"):
+            find_witness_heuristic(g, i, j, Fraction(1, 4))
+
+    def test_witnesses_pinned(self):
+        # SHA-256 of the classifications of 50 seeded pairs of 14 to 40
+        # vertices a side, each with a planted set of I whose edge
+        # probability into J is shifted: pins which candidate wins, in
+        # which order, and the densities it reports
+        rng = random.Random(2024)
+        results = []
+        for _ in range(50):
+            s, t = rng.randint(14, 40), rng.randint(14, 40)
+            n = s + t
+            order = list(range(n))
+            rng.shuffle(order)
+            i, j = order[:s], order[s:]
+            base = rng.randint(2, 6)
+            planted = set(rng.sample(i, rng.randint(1, s // 2)))
+            shift = rng.choice((-2, 2))
+            edges = []
+            for u, v in combinations(range(n), 2):
+                across = (u in planted and v in j) or (v in planted and u in j)
+                if rng.randrange(8) < base + (shift if across else 0):
+                    edges.append((u, v))
+            eps = rng.choice([Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3)])
+            g = Graph.from_edges(n, edges)
+            i, j = VertexSet.from_iterable(i, n), VertexSet.from_iterable(j, n)
+            results.append(plain(find_witness_heuristic(g, i, j, eps)))
+        assert sum(r["kind"] == IRREGULAR_WITNESSED for r in results) == 26
+        digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+        assert digest == "bd533fbe633171474d98ac842387c9f64e1ae5dc47da9f76b0339c2ae07811f7"
+
 
 class TestClassifyPair:
     def test_auto_dispatch(self):
@@ -547,6 +602,30 @@ class TestClassifyPair:
         # 28 > 26: auto falls back to the heuristic tier
         clf = classify_pair(g, i, j, Fraction(1, 4))
         assert clf.kind == UNKNOWN_TREATED_AS_REGULAR
+
+    def test_size_decided_pair_needs_no_graph(self):
+        class RowlessGraph:
+            n = 28
+
+            @property
+            def rows(self):
+                raise AssertionError("adjacency read for a size-decided pair")
+
+        # 14+14 is past the cutoff, and at eps = 99/100 only X = I, Y = J
+        # qualify: certified by the sizes alone, at any size
+        i = VertexSet.from_iterable(range(14), 28)
+        j = VertexSet.from_iterable(range(14, 28), 28)
+        for eps in (Fraction(99, 100), Fraction(1)):
+            clf = classify_pair(RowlessGraph(), i, j, eps)
+            assert clf.kind == REGULAR_CERTIFIED
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1)])
+    def test_sets_for_another_graph_raise(self, eps):
+        g = Graph.empty(30)
+        i = VertexSet.from_iterable(range(20), 40)
+        j = VertexSet.from_iterable(range(20, 40), 40)
+        with pytest.raises(ValueError, match="sized for a different graph"):
+            classify_pair(g, i, j, eps)
 
 
 class TestCheckPartition:
@@ -710,6 +789,10 @@ class TestCheckPartitionMatchesPerPair:
         assert (dict(full), rep.irregular_mass, rep.verdict) == expected[:3]
         assert (rep.witnesses(), rep.has_unknown()) == expected[3:]
         assert all(a <= b for a, b in rep.flagged)
+        if eps >= Fraction(99, 100):
+            # every class has at most 28 vertices, so eps|I| >= |I| - 1 for
+            # every class: each pair is certified by its sizes, large or not
+            assert rep.flagged == {} and rep.verdict == VERDICT_REGULAR
 
 
 class TestRefineValidatesOncePerPair:
