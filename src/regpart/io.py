@@ -6,7 +6,12 @@ name the offending line on malformed input. Rationals serialize as their
 canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
 """
 
+import io
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -14,11 +19,20 @@ from .errors import FormatError, ensure
 from .graph import Graph, Partition, VertexSet
 
 
-# The largest vertex count an edge list may give. load_edge_list allocates no
-# row and no table until the vertex ids have passed the range check and this
-# limit: a hostile id (10**30, or one just past the limit) costs only its
+# The largest vertex count an edge list may give. No row and no table is
+# allocated until the vertex ids have passed the range check and this limit,
+# and each half of a split file checks its own ids before it builds any of
+# its rows: a hostile id (10**30, or one just past the limit) costs only its
 # neighbour-list entry before the file is rejected.
 _MAX_VERTICES = 1 << 20
+
+# An edge file of at least this many bytes is parsed in two halves, the
+# second in a forked child (_parse_halves). Below it the fork and the pickled
+# rows cost about what the second core saves: on half-graph files in fresh
+# interpreters (2-vCPU Xeon, Python 3.11.7, median of 9), _read_rows took
+# 9.6 ms split against 8.6 ms whole at 65 KiB, 16.7 against 17.0 ms at
+# 190 KiB and 20.6 against 29.7 ms at 278 KiB.
+_SPLIT_MIN_CHARS = 256 * 1024
 
 
 def load_edge_list(path, n=None):
@@ -32,9 +46,11 @@ def load_edge_list(path, n=None):
     line anywhere wins over them, and a vertex count above _MAX_VERTICES is
     reported last.
 
-    A clean file is read once, by _read_rows. Any fault makes it return
-    None, and only then, with its tables released, does _raise_first_fault
-    scan the file again line by line to name the error.
+    A clean file is read once, by _read_rows: whole, or in two halves parsed
+    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Any fault
+    in either half makes it return None, and only then, with its tables
+    released, does _raise_first_fault scan the whole file again line by line
+    to name the error, so a split file fails with the same message and line.
     """
     table = _read_rows(path, n)
     if table is None:
@@ -45,35 +61,135 @@ def load_edge_list(path, n=None):
 def _read_rows(path, n):
     """The adjacency row bitmasks of an edge file, or None if it has any fault.
 
+    A file of _SPLIT_MIN_CHARS bytes or more is cut after the first "\\n" at
+    or past its middle byte (a file whose lines end in a bare "\\r" has none,
+    and its first half is the whole file) and parsed in two processes
+    (_parse_halves), where os.fork exists and no other thread runs; any
+    other file is parsed whole, here. Each part's partial rows come from
+    _parse_rows. The table is built once the vertex count has passed its
+    checks, and an edge whose two copies lie in different halves shows as a
+    bit that both halves' rows set.
+    """
+    size = os.path.getsize(path)
+    if (
+        size < _SPLIT_MIN_CHARS
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+    ):
+        parts = [_parse_from(path, 0, n)]
+    else:
+        with open(path, "rb") as fh:
+            fh.seek(size // 2)
+            fh.readline()
+            split = fh.tell()
+            fh.seek(0)
+            head = fh.read(split)
+        parts = _parse_halves(path, n, head)
+    if None in parts:
+        return None
+    top = max(max(rows, default=-1) for rows in parts)
+    count = top + 1 if n is None else n
+    if (n is None and top < 0) or count > _MAX_VERTICES:
+        return None
+    table = [0] * count
+    for rows in parts:
+        for u, row in rows.items():
+            if table[u] & row:
+                return None
+            table[u] |= row
+    return table
+
+
+def _parse_halves(path, n, head):
+    """[the rows of head, the rows of the file from byte len(head) on].
+
+    A forked child parses the rest of the file from its own file handle and
+    sends its rows back pickled through a pipe, while this process parses
+    head. If the fork fails, or the child dies without a result, this process
+    parses the rest itself. The child always leaves through os._exit, and is
+    reaped before this returns. If head has a fault, or this process fails,
+    the pipe is closed and the child killed first, so that a child blocked
+    on a full pipe cannot deadlock the wait.
+    """
+    split = len(head)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        _send_rows(path, n, split, r, w)
+    os.close(w)
+    data = None
+    try:
+        with open(r, "rb") as pipe:
+            first = _parse_rows(io.TextIOWrapper(io.BytesIO(head)), n)
+            if first is None:
+                return [None]
+            data = pipe.read()
+    finally:
+        if pid:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        second = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # no child, or one cut short
+        second = _parse_from(path, split, n)
+    return [first, second]
+
+
+def _send_rows(path, n, split, r, w):
+    """In the forked child: write the pickled rows of the file from byte split on to w.
+
+    Never returns: the child leaves through os._exit whatever happens, so
+    it runs none of the parent's cleanup, and exits 1 on any failure.
+    """
+    code = 1
+    try:
+        os.close(r)
+        data = pickle.dumps(_parse_from(path, split, n))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _parse_from(path, offset, n):
+    """The _parse_rows of an edge file from byte offset (a line start) on."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        with io.TextIOWrapper(fh) as lines:
+            return _parse_rows(lines, n)
+
+
+def _parse_rows(lines, n):
+    """The partial rows {u: bitmask} of some lines of an edge file, or None on a fault.
+
     Each token is converted by int() on its first sighting only, and each
     edge is appended to both endpoints' neighbour lists. Only after the
-    vertex ids pass the range and limit checks are the table and each row
-    bitmask built, once, from a bytearray of '0'/'1' digits.
+    vertex ids pass the range check and _MAX_VERTICES is each row bitmask
+    built, once, from a bytearray of '0'/'1' digits.
     """
     ids = {}
     adj = {}
     get = ids.get
     try:
-        with open(path) as fh:
-            for a, b in filter(None, map(str.split, fh)):
-                u, u_nbrs = get(a) or _sight(ids, adj, a)
-                v, v_nbrs = get(b) or _sight(ids, adj, b)
-                u_nbrs.append(v)
-                v_nbrs.append(u)
+        for a, b in filter(None, map(str.split, lines)):
+            u, u_nbrs = get(a) or _sight(ids, adj, a)
+            v, v_nbrs = get(b) or _sight(ids, adj, b)
+            u_nbrs.append(v)
+            v_nbrs.append(u)
     except ValueError:
         return None
+    limit = _MAX_VERTICES if n is None else min(n, _MAX_VERTICES)
     top = max(adj, default=-1)
-    count = top + 1 if n is None else n
-    if (
-        (n is None and not adj)
-        or min(adj, default=0) < 0
-        or top >= count
-        or count > _MAX_VERTICES
-    ):
+    if min(adj, default=0) < 0 or top >= limit:
         return None
-    table = [0] * count
-    zeros = bytearray(b"0") * count
+    zeros = bytearray(b"0") * (top + 1)
     one = ord("1")
+    rows = {}
     for u, nbrs in adj.items():
         bits = zeros[:]
         for v in nbrs:
@@ -82,8 +198,8 @@ def _read_rows(path, n):
         # in its own row once per endpoint.
         if bits.count(one) != len(nbrs):
             return None
-        table[u] = int(bits[::-1], 2)
-    return table
+        rows[u] = int(bits[::-1], 2)
+    return rows
 
 
 def _sight(ids, adj, token):

@@ -125,15 +125,17 @@ def validate_witness(g, i, j, eps, witness):
     return e_xy, m_xy, e_ij, m_ij
 
 
-def _min_qualifying_size(eps, class_size):
-    """Smallest integer s with s > eps * class_size."""
-    return eps.numerator * class_size // eps.denominator + 1
+def _min_sizes(eps, s, t):
+    """(lo_x, lo_y), the least integers above eps * s and eps * t, of an s+t pair.
 
-
-def _sizes_certify(eps, s, t):
-    """True when no sub-pair of an s+t pair qualifies, or only (I, J), gap 0."""
-    lo_x, lo_y = _min_qualifying_size(eps, s), _min_qualifying_size(eps, t)
-    return lo_x > s or lo_y > t or (lo_x == s and lo_y == t)
+    None when these sizes alone decide the pair: no sub-pair qualifies, or
+    only (I, J), whose gap is 0.
+    """
+    en, ed = eps.numerator, eps.denominator
+    lo_x, lo_y = en * s // ed + 1, en * t // ed + 1
+    if lo_x > s or lo_y > t or (lo_x == s and lo_y == t):
+        return None
+    return lo_x, lo_y
 
 
 def _band(e_ij, m_ij, eps):
@@ -213,12 +215,13 @@ def check_pair_exhaustive(g, i, j, eps):
             f"|i| + |j| = {i.size + j.size} exceeds the exhaustive limit "
             f"{EXHAUSTIVE_CUTOFF}"
         )
-    if _sizes_certify(eps, i.size, j.size):
-        return _REGULAR
     swap = i.size > j.size
     if swap:
         i, j = j, i
-    lo_x, lo_y = _min_qualifying_size(eps, i.size), _min_qualifying_size(eps, j.size)
+    sizes = _min_sizes(eps, i.size, j.size)
+    if sizes is None:
+        return _REGULAR
+    lo_x, lo_y = sizes
 
     members_j = j.members()
     cols = [g.rows[v] & i.mask for v in members_j]
@@ -336,14 +339,14 @@ def find_witness_heuristic(g, i, j, eps):
 def classify_pair(g, i, j, eps):
     """Certify a pair its sizes decide, at any size; exhaust or search the rest.
 
-    Within EXHAUSTIVE_CUTOFF the kernel makes the size test (_sizes_certify)
+    Within EXHAUSTIVE_CUTOFF the kernel makes the size test (_min_sizes)
     itself; above it, the test is made here, before the heuristic.
     """
     if i.size + j.size <= EXHAUSTIVE_CUTOFF:
         return check_pair_exhaustive(g, i, j, eps)
     eps = require_epsilon(eps)
     require_block(g, i, j)
-    if _sizes_certify(eps, i.size, j.size):
+    if _min_sizes(eps, i.size, j.size) is None:
         return _REGULAR
     return find_witness_heuristic(g, i, j, eps)
 
@@ -418,7 +421,7 @@ def check_partition(g, p, eps):
     """Classify every class pair of p (diagonal included), each a <= b once.
 
     A pair that classify_pair would certify by its class sizes alone
-    (_sizes_certify), at any size, is skipped, testing each size pair once.
+    (_min_sizes), at any size, is skipped, testing each size pair once.
     The rest go through classify_pair, a <= b in lexicographic order, so the
     first error raised is the one a walk over every pair would raise.
     """
@@ -426,7 +429,7 @@ def check_partition(g, p, eps):
     if p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     sizes = {c.size for c in p}
-    open_ = {(s, t) for s in sizes for t in sizes if not _sizes_certify(eps, s, t)}
+    open_ = {(s, t) for s in sizes for t in sizes if _min_sizes(eps, s, t) is not None}
     # per class size s, ascending indices of the classes whose size pair is open
     partners = {s: [b for b, c in enumerate(p) if (s, c.size) in open_] for s in sizes}
     flagged = {}

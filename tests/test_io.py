@@ -1,4 +1,8 @@
+import os
+import pickle
 import tempfile
+import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,28 +337,181 @@ def multiword_edge_files(draw):
     return text + (newline if draw(st.booleans()) else ""), n
 
 
+def assert_matches_reference(case):
+    text, n = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(text.encode())
+        expected = load_outcome(reference_load_rows, path, n)
+        got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
+    assert got == expected
+
+
 class TestEdgeListMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(edge_files())
     def test_same_rows_or_same_error(self, case):
-        text, n = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "g.txt"
-            path.write_bytes(text.encode())
-            expected = load_outcome(reference_load_rows, path, n)
-            got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
-        assert got == expected
+        assert_matches_reference(case)
 
     @settings(max_examples=300, deadline=None)
     @given(multiword_edge_files())
     def test_multiword_same_rows_or_same_error(self, case):
-        text, n = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "g.txt"
-            path.write_bytes(text.encode())
-            expected = load_outcome(reference_load_rows, path, n)
-            got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
+        assert_matches_reference(case)
+
+
+@pytest.fixture(scope="class")
+def split_every_file():
+    """Parse every edge file in two halves, the second in a forked child."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+        yield
+
+
+@pytest.mark.usefixtures("split_every_file")
+class TestSplitEdgeListMatchesReference:
+    """Both properties above, with every file parsed in two processes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_files())
+    def test_same_rows_or_same_error(self, case):
+        assert_matches_reference(case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiword_edge_files())
+    def test_multiword_same_rows_or_same_error(self, case):
+        assert_matches_reference(case)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitEdgeList:
+    """A file of _SPLIT_MIN_CHARS bytes or more is parsed in two processes."""
+
+    N = 300
+
+    @pytest.fixture
+    def edge_file(self, tmp_path, monkeypatch):
+        """gnp(300, 1/2) as an edge file, split wherever it is loaded."""
+        monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+        self.g = gnp(self.N, Fraction(1, 2), seed=5)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in self.g.edges()))
+        return path
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children load_edge_list forks.
+
+        From Python 3.12 on, a fork in a process with more than one thread
+        warns; no fork may. The warning is recorded here, because CPython
+        drops the error that -W error::DeprecationWarning makes of it.
+        """
+        pids = []
+        warned = []
+        fork = os.fork
+
+        def counted():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DeprecationWarning)
+                pid = fork()
+            if pid:
+                pids.append(pid)
+                warned.extend(str(w.message) for w in caught)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield pids
+        assert warned == []
+
+    def test_split_load_forks_one_child_and_reaps_it(self, edge_file, forks):
+        assert load_edge_list(edge_file).rows == self.g.rows
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_default_size_parses_small_files_whole(self, edge_file, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert edge_file.stat().st_size < regpart_io._SPLIT_MIN_CHARS
+        assert load_edge_list(edge_file).rows == self.g.rows
+
+    @pytest.mark.parametrize(
+        "bad", ["{v} {u}", "x y", "7 7", "0 {n}", "1 2 3", "-1 2"]
+    )
+    def test_fault_in_second_half_only(self, edge_file, bad):
+        # "{v} {u}" repeats the first line's edge, reversed: each half alone
+        # is clean, so only the OR of the halves' rows can find it
+        u, v = next(self.g.edges())
+        with edge_file.open("a") as fh:
+            fh.write(bad.format(u=u, v=v, n=self.N) + "\n")
+        expected = load_outcome(reference_load_rows, edge_file, self.N)
+        assert expected[0] == "error"
+        assert expected[2] == self.g.edge_count + 1
+        got = load_outcome(lambda p, k: load_edge_list(p, k).rows, edge_file, self.N)
         assert got == expected
+        assert_no_child_left()
+
+    def test_fault_in_first_half_kills_the_child(self, edge_file, forks):
+        text = edge_file.read_text()
+        edge_file.write_text("x y\n" + text)
+        with pytest.raises(FormatError, match="line 1: non-integer vertex"):
+            load_edge_list(edge_file)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_failed_fork_parses_both_halves_here(self, edge_file, monkeypatch):
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert load_edge_list(edge_file).rows == self.g.rows
+
+    def test_child_without_result_leaves_the_second_half_here(
+        self, edge_file, forks, monkeypatch
+    ):
+        parent = os.getpid()
+        dumps = pickle.dumps
+
+        def dumps_in_parent_only(obj, *args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dumps_in_parent_only)
+        assert load_edge_list(edge_file).rows == self.g.rows
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_failing_parent_kills_and_reaps_the_child(
+        self, edge_file, forks, monkeypatch
+    ):
+        parent = os.getpid()
+        parse_rows = regpart_io._parse_rows
+
+        def fails_in_parent(lines, n):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_rows(lines, n)
+
+        monkeypatch.setattr(regpart_io, "_parse_rows", fails_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            load_edge_list(edge_file)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_other_thread_means_no_fork(self, edge_file, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert load_edge_list(edge_file).rows == self.g.rows
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestPartitionFile:
