@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pickle
+import re
 import signal
 import threading
 from dataclasses import fields, is_dataclass
@@ -33,6 +34,10 @@ _MAX_VERTICES = 1 << 20
 # 9.6 ms split against 8.6 ms whole at 65 KiB, 16.7 against 17.0 ms at
 # 190 KiB and 20.6 against 29.7 ms at 278 KiB.
 _SPLIT_MIN_CHARS = 256 * 1024
+
+# A byte that is not valid UTF-8, as the "surrogateescape" error handler
+# decodes it.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def load_edge_list(path, n=None):
@@ -123,7 +128,7 @@ def _parse_halves(path, n, head):
     data = None
     try:
         with open(r, "rb") as pipe:
-            first = _parse_rows(io.TextIOWrapper(io.BytesIO(head)), n)
+            first = _parse_rows(io.TextIOWrapper(io.BytesIO(head), "utf-8"), n)
             if first is None:
                 return [None]
             data = pipe.read()
@@ -160,7 +165,7 @@ def _parse_from(path, offset, n):
     """The _parse_rows of an edge file from byte offset (a line start) on."""
     with open(path, "rb") as fh:
         fh.seek(offset)
-        with io.TextIOWrapper(fh) as lines:
+        with io.TextIOWrapper(fh, "utf-8") as lines:
             return _parse_rows(lines, n)
 
 
@@ -216,52 +221,48 @@ def _raise_first_fault(path, n):
     """Raise the FormatError of an edge file that load_edge_list rejected.
 
     Scans the file line by line. The first line fault in file order wins
-    (a malformed line, a non-integer or negative vertex, a loop, a repeated
-    edge), then the first line with a vertex out of range for an explicit n,
-    then an empty file without n, then a vertex count above _MAX_VERTICES.
+    (a byte that is not UTF-8, a malformed line, a non-integer or negative
+    vertex, a loop, a repeated edge), then the first line with a vertex out
+    of range for an explicit n, then an empty file without n, then a vertex
+    count above _MAX_VERTICES.
     A file with none of these faults is a bug in the caller. Only edge keys
     are kept: a repeat's first line is found by a second scan.
     """
     seen = set()
     top = -1
     far = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            text = raw.strip()
-            if len(parts) != 2:
-                raise FormatError(
-                    f"expected 'u v', got {text!r}", path=path, line=lineno
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"non-integer vertex in {text!r}", path=path, line=lineno
-                ) from None
-            if u < 0 or v < 0:
-                raise FormatError(
-                    f"negative vertex in {text!r}", path=path, line=lineno
-                )
-            if u == v:
-                raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
-            lo, hi = (u, v) if u < v else (v, u)
-            # One int per edge, not a tuple: hi * (hi - 1) // 2 + lo is
-            # injective on pairs 0 <= lo < hi, the only pairs left here.
-            key = hi * (hi - 1) // 2 + lo
-            if key in seen:
-                first = _first_line_of(path, lo, hi)
-                raise FormatError(
-                    f"duplicate edge {u} {v} (first on line {first})",
-                    path=path,
-                    line=lineno,
-                )
-            seen.add(key)
-            top = max(top, hi)
-            if far is None and n is not None and hi >= n:
-                far = lineno
+    for lineno, raw in _numbered_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        text = raw.strip()
+        if len(parts) != 2:
+            raise FormatError(f"expected 'u v', got {text!r}", path=path, line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(
+                f"non-integer vertex in {text!r}", path=path, line=lineno
+            ) from None
+        if u < 0 or v < 0:
+            raise FormatError(f"negative vertex in {text!r}", path=path, line=lineno)
+        if u == v:
+            raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
+        lo, hi = (u, v) if u < v else (v, u)
+        # One int per edge, not a tuple: hi * (hi - 1) // 2 + lo is
+        # injective on pairs 0 <= lo < hi, the only pairs left here.
+        key = hi * (hi - 1) // 2 + lo
+        if key in seen:
+            first = _first_line_of(path, lo, hi)
+            raise FormatError(
+                f"duplicate edge {u} {v} (first on line {first})",
+                path=path,
+                line=lineno,
+            )
+        seen.add(key)
+        top = max(top, hi)
+        if far is None and n is not None and hi >= n:
+            far = lineno
     if far is not None:
         raise FormatError(f"vertex out of range for n={n}", path=path, line=far)
     if n is None:
@@ -277,10 +278,32 @@ def _raise_first_fault(path, n):
 
 def _first_line_of(path, lo, hi):
     """The first line of an edge file that holds the edge {lo, hi}, lo < hi."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, parts in enumerate(map(str.split, fh), 1):
             if sorted(map(int, parts)) == [lo, hi]:
                 return lineno
+
+
+def _numbered_lines(path):
+    """Each (line number from 1, line) of a text file, read as UTF-8.
+
+    Raises the FormatError of the first line that holds a byte which is not
+    valid UTF-8, naming the file, the line and the byte. Undecodable bytes
+    are read as the lone surrogates U+DC80..U+DCFF, which no valid UTF-8
+    text decodes to, so each line is decoded in order and a fault on an
+    earlier line still wins.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            # isascii() reads a flag of the string, so only a line with a
+            # non-ASCII character is searched
+            bad = not raw.isascii() and _UNDECODABLE.search(raw)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise FormatError(
+                    f"byte {byte:#04x} is not valid UTF-8", path=path, line=lineno
+                )
+            yield lineno, raw
 
 
 def dump_edge_list(g, path):
@@ -294,56 +317,54 @@ def load_partition(path):
 
     Class indices must be 0, 1, ... in file order. The ground size n is the
     total number of vertices listed, and the classes must partition 0..n-1
-    exactly.
+    exactly. The file is UTF-8, and a byte that is not gets the FormatError
+    of its line (_numbered_lines).
     """
     member_lists = []
     first_line = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text:
-                continue
-            head, sep, tail = text.partition(":")
-            if not sep:
-                raise FormatError(
-                    f"expected 'k: v1 v2 ...', got {text!r}", path=path, line=lineno
-                )
+    for lineno, raw in _numbered_lines(path):
+        text = raw.strip()
+        if not text:
+            continue
+        head, sep, tail = text.partition(":")
+        if not sep:
+            raise FormatError(
+                f"expected 'k: v1 v2 ...', got {text!r}", path=path, line=lineno
+            )
+        try:
+            k = int(head)
+        except ValueError:
+            raise FormatError(
+                f"non-integer class index {head!r}", path=path, line=lineno
+            ) from None
+        if k != len(member_lists):
+            raise FormatError(
+                f"class index {k} out of order (expected {len(member_lists)})",
+                path=path,
+                line=lineno,
+            )
+        tokens = tail.split()
+        if not tokens:
+            raise FormatError("class has no vertices", path=path, line=lineno)
+        members = []
+        for tok in tokens:
             try:
-                k = int(head)
+                v = int(tok)
             except ValueError:
                 raise FormatError(
-                    f"non-integer class index {head!r}", path=path, line=lineno
+                    f"non-integer vertex {tok!r}", path=path, line=lineno
                 ) from None
-            if k != len(member_lists):
+            if v < 0:
+                raise FormatError(f"negative vertex {v}", path=path, line=lineno)
+            if v in first_line:
                 raise FormatError(
-                    f"class index {k} out of order (expected {len(member_lists)})",
+                    f"vertex {v} repeated (first on line {first_line[v]})",
                     path=path,
                     line=lineno,
                 )
-            tokens = tail.split()
-            if not tokens:
-                raise FormatError("class has no vertices", path=path, line=lineno)
-            members = []
-            for tok in tokens:
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise FormatError(
-                        f"non-integer vertex {tok!r}", path=path, line=lineno
-                    ) from None
-                if v < 0:
-                    raise FormatError(
-                        f"negative vertex {v}", path=path, line=lineno
-                    )
-                if v in first_line:
-                    raise FormatError(
-                        f"vertex {v} repeated (first on line {first_line[v]})",
-                        path=path,
-                        line=lineno,
-                    )
-                first_line[v] = lineno
-                members.append(v)
-            member_lists.append(members)
+            first_line[v] = lineno
+            members.append(v)
+        member_lists.append(members)
     if not member_lists:
         raise FormatError("empty partition file", path=path)
     ground = sum(len(m) for m in member_lists)

@@ -148,20 +148,45 @@ def _band(e_ij, m_ij, eps):
     return e_ij * ed + en * m_ij, e_ij * ed - en * m_ij, m_ij * ed
 
 
-def _first_violating_x(cols, bits, sx, lo_y, hi, lo, den):
+def _packed_rows(cols, members):
+    """One int per vertex u of members, whose byte t is 1 when u is in cols[t].
+
+    cols are masks over vertex ids, and members lists, ascending, the ids
+    they may hold. The ints are the transpose of cols, built without a loop
+    over its entries: bin() writes each column, shifted down to the lowest
+    member and guarded to one length, as one digit per id of the members'
+    span, so the digits of u recur every `step` bytes, one per column. A
+    digit is the byte 0x30 or 0x31, and zero takes 0x30 off each byte.
+    """
+    width = len(cols)
+    low = members[0]
+    guard = 2 << (members[-1] - low)
+    digits = "".join([bin(col >> low | guard) for col in cols]).encode()
+    step = len(digits) // width
+    last = low + step - 1  # u's digit in the first column is digits[last - u]
+    zero = int.from_bytes(b"0" * width, "little")
+    return [int.from_bytes(digits[last - u :: step], "little") - zero for u in members]
+
+
+def _first_violating_x(packs, bits, sx, width, lo_y, hi, lo, den):
     """Mask of the lexicographically first X of sx of the bits that violates.
 
-    cols are the columns of J restricted to I. X violates when e, its edges
-    to the lo_y members of J with the most (or the fewest) edges into X, has
-    e den > hi sx lo_y (or e den < lo sx lo_y). None when no X does.
+    packs[k] is the packed row of the vertex bits[k] into J: byte t of it
+    is 1 when that vertex is adjacent to member t of J, so the int is width
+    = |J| bytes long. The sum of the packs of X holds, byte by byte, the
+    count of each member of J into X; a count is at most sx < 256, so none
+    carries into the next byte. X violates when e, its edges to the lo_y
+    members of J with the most (or the fewest) edges into X, has
+    e den > hi sx lo_y (or e den < lo sx lo_y). The combinations of the
+    packs and of the bits run in the same order, so X's mask is summed
+    only for the X that violates. None when no X does.
     """
-    cut = len(cols) - lo_y
+    cut = width - lo_y
     top, bottom = hi * sx * lo_y, lo * sx * lo_y
-    for xs in combinations(bits, sx):
-        x_mask = sum(xs)
-        ranked = sorted([(col & x_mask).bit_count() for col in cols])
+    for xs, x_bits in zip(combinations(packs, sx), combinations(bits, sx)):
+        ranked = sorted(sum(xs).to_bytes(width, "little"))
         if sum(ranked[cut:]) * den > top or sum(ranked[:lo_y]) * den < bottom:
-            return x_mask
+            return sum(x_bits)
     return None
 
 
@@ -191,10 +216,15 @@ def check_pair_exhaustive(g, i, j, eps):
     The search tests X = I first, from the per-vertex counts that also give
     e_ij; if it violates, s* = |I| and those counts rank Y. If it does not
     and lo_x = |I|, no other X qualifies and the pair is RegularCertified.
-    Otherwise it scans size lo_x in lexicographic order, and if no X there
-    violates, the pair is RegularCertified. Else it climbs one size at a
-    time, keeps each size's first violating X and stops at the first size
-    with none. The witness's X is the first one a walk over X by size
+    Otherwise it packs each member u of I, once, into one int with one byte
+    per member of J, 1 where u is adjacent to it, so that the bytes of the
+    sum of X's packs are the per-vertex counts into X (_packed_rows,
+    _first_violating_x). A scanned X has at most |I| - 1 <
+    EXHAUSTIVE_CUTOFF // 2 members, so no count reaches 256 and none carries
+    into the next byte. It scans size lo_x in lexicographic order, and if no
+    X there violates, the pair is RegularCertified. Else it climbs one size
+    at a time, keeps each size's first violating X and stops at the first
+    size with none. The witness's X is the first one a walk over X by size
     descending, lexicographic within a size, meets: the first violating X
     of size s*. Its Y has the largest size sy with a violation for that X,
     and is the one of that size farthest from d(I,J): the sy members of J
@@ -237,13 +267,17 @@ def check_pair_exhaustive(g, i, j, eps):
     if sum(ranked[cut:]) * den <= top and sum(ranked[:lo_y]) * den >= bottom:
         if lo_x == sx:
             return _REGULAR
-        bits_i = [1 << u for u in i.members()]
+        members_i = i.members()
+        bits_i = [1 << u for u in members_i]
+        packs = _packed_rows(cols, members_i)
         sx = lo_x
-        x_mask = _first_violating_x(cols, bits_i, sx, lo_y, hi, lo, den)
+        x_mask = _first_violating_x(packs, bits_i, sx, total, lo_y, hi, lo, den)
         if x_mask is None:
             return _REGULAR
         while sx + 1 < i.size:
-            wider = _first_violating_x(cols, bits_i, sx + 1, lo_y, hi, lo, den)
+            wider = _first_violating_x(
+                packs, bits_i, sx + 1, total, lo_y, hi, lo, den
+            )
             if wider is None:
                 break
             sx, x_mask = sx + 1, wider

@@ -142,6 +142,20 @@ class TestRegularize:
         assert code == 1
         assert "line 2" in err and "loop" in err
 
+    def test_undecodable_graph_and_partition_name_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"0 1\n1 \xff2\n")
+        code, _, err = run(capsys, "regularize", "--graph", graph, "--epsilon", "1/4")
+        assert code == 1
+        assert f"{graph}: line 2: byte 0xff is not valid UTF-8" in err
+        graph, part = write_single_edge(tmp_path)
+        part.write_bytes(b"0: 0 1\n1: 2 \xff3\n")
+        code, _, err = run(
+            capsys, "check", "--graph", graph, "--partition", part, "--epsilon", "1/4"
+        )
+        assert code == 1
+        assert f"{part}: line 2: byte 0xff is not valid UTF-8" in err
+
     @pytest.mark.parametrize(
         "edges, extra",
         [

@@ -92,6 +92,27 @@ class TestEdgeList:
         with pytest.raises(FormatError, match="negative"):
             load_edge_list(path)
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1 \xff2\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert (info.value.path, info.value.line) == (path, 2)
+        assert str(info.value) == f"{path}: line 2: byte 0xff is not valid UTF-8"
+
+    def test_non_ascii_utf8_is_a_non_integer(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes("0 1\n1 \u00e9\n".encode())
+        with pytest.raises(FormatError, match="line 2: non-integer vertex"):
+            load_edge_list(path)
+
+    def test_earlier_fault_wins_over_undecodable_byte(self, tmp_path):
+        # the bad byte lies in the same decode chunk as the loop before it
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n2 2\n1 \xff2\n")
+        with pytest.raises(FormatError, match="line 2: loop at vertex 2"):
+            load_edge_list(path)
+
     def test_out_of_range_for_explicit_n(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 9\n")
@@ -453,6 +474,16 @@ class TestSplitEdgeList:
         assert got == expected
         assert_no_child_left()
 
+    def test_undecodable_byte_in_second_half(self, edge_file, forks):
+        with edge_file.open("ab") as fh:
+            fh.write(b"\xe9 1\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(edge_file)
+        assert info.value.line == self.g.edge_count + 1
+        assert str(info.value).endswith("byte 0xe9 is not valid UTF-8")
+        assert len(forks) == 1
+        assert_no_child_left()
+
     def test_fault_in_first_half_kills_the_child(self, edge_file, forks):
         text = edge_file.read_text()
         edge_file.write_text("x y\n" + text)
@@ -551,6 +582,14 @@ class TestPartitionFile:
         path.write_text("")
         with pytest.raises(FormatError, match="empty partition"):
             load_partition(path)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"0: 0 1\n1: 2 \xe93\n")
+        with pytest.raises(FormatError) as info:
+            load_partition(path)
+        assert (info.value.path, info.value.line) == (path, 2)
+        assert str(info.value) == f"{path}: line 2: byte 0xe9 is not valid UTF-8"
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "p.txt"

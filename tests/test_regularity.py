@@ -504,6 +504,88 @@ class TestExhaustiveMatchesReference:
         assert abs(w.d_xy - w.d_ij) >= abs(density(g, w.x, first) - w.d_ij)
 
 
+def popcount_first_violating_x(cols, bits, sx, lo_y, hi, lo, den):
+    """The size scan without packed counts: each X ranks |J| popcounts.
+
+    cols are the columns of J restricted to I, and X violates when the
+    top (or bottom) lo_y counts into X sum to e with e den > hi sx lo_y
+    (or e den < lo sx lo_y).
+    """
+    cut = len(cols) - lo_y
+    top, bottom = hi * sx * lo_y, lo * sx * lo_y
+    for xs in combinations(bits, sx):
+        x_mask = sum(xs)
+        ranked = sorted([(col & x_mask).bit_count() for col in cols])
+        if sum(ranked[cut:]) * den > top or sum(ranked[:lo_y]) * den < bottom:
+            return x_mask
+    return None
+
+
+@st.composite
+def wide_pairs(draw, a, b):
+    """A graph with an a+b class pair, either side first, or with a diagonal
+    a-class when b is 0."""
+    n = a + b
+    order = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    adjacent = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, on in zip(pairs, adjacent) if on])
+    i = VertexSet.from_iterable(order[:a], n)
+    j = VertexSet.from_iterable(order[a:], n) if b else i
+    return (g, j, i) if draw(st.booleans()) else (g, i, j)
+
+
+class TestPackedScan:
+    def test_counts_of_the_smaller_side_fit_a_byte(self):
+        # the kernel enumerates a side of at most EXHAUSTIVE_CUTOFF // 2
+        # vertices and scans X of fewer, so each packed count stays below
+        # 256; a wider admission must not carry a count into the next byte
+        assert regularity.EXHAUSTIVE_CUTOFF // 2 < 256
+
+    @pytest.mark.parametrize("eps", PAIR_EPS)
+    @pytest.mark.parametrize("a, b", [(13, 13), (2, 24), (12, 14), (13, 0)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_same_mask_as_popcounts_at_every_size(self, a, b, eps, data):
+        # pairs at the exhaustive limit, past the reach of reference_exhaustive
+        g, given_i, given_j = data.draw(wide_pairs(a, b))
+        # the kernel enumerates the smaller side, the given I on a tie
+        i, j = given_i, given_j
+        if i.size > j.size:
+            i, j = j, i
+        sizes = regularity._min_sizes(eps, i.size, j.size)
+        if sizes is None:
+            return
+        lo_x, lo_y = sizes
+        mi, mj = i.members(), j.members()
+        cols = [g.rows[v] & i.mask for v in mj]
+        hi, lo, den = regularity._band(
+            adjacent_pair_count(g, i, j), i.size * j.size, eps
+        )
+        bits = [1 << u for u in mi]
+        # byte t of u's pack is 1 when u is adjacent to the t-th member of J
+        packs = [
+            sum(1 << 8 * t for t, v in enumerate(mj) if g.has_edge(u, v)) for u in mi
+        ]
+        for sx in range(lo_x, i.size):
+            band = (lo_y, hi, lo, den)
+            packed = regularity._first_violating_x(packs, bits, sx, j.size, *band)
+            assert packed == popcount_first_violating_x(cols, bits, sx, *band)
+
+        # the kernel packs the same rows whenever it reaches the scan
+        seen = []
+        scan = regularity._first_violating_x
+
+        def spy(*args):
+            seen.append(args[:2])
+            return scan(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "_first_violating_x", spy)
+            check_pair_exhaustive(g, given_i, given_j, eps)
+        assert all(args == (packs, bits) for args in seen)
+
+
 class TestHeuristic:
     def planted_pair(self):
         # half of I completely joined to J, other half isolated
