@@ -71,18 +71,18 @@ def _trace_step(phase, p, e, report):
 def verify_trace(trace, eps, n):
     """Re-check every trace invariant after the fact; raises AssertionError.
 
-    Energy never falls. Each refine step follows the balance step that
-    classified the partition it refined, so the energy difference between
-    the two is that refinement's gain: it must exceed eps**4 times the
-    witnessed mass, and eps**5 * n**2 when that mass exceeds eps * n**2.
+    Energy never falls and never passes n**2. Each refine step makes the one
+    claim that regularize refines on: it follows the balance step that
+    classified the partition it refined, its witnessed mass is above
+    eps * n**2, and the energy difference between the two steps, that
+    refinement's gain, is above eps**4 times the mass, so above
+    eps**5 * n**2. Hence at most floor(eps**-5) refine steps.
     """
     eps = require_epsilon(eps)
     n_sq = n * n
     threshold = eps * n_sq
     eps4 = eps**4
-    gain_floor = eps**5 * n_sq
     prev = None
-    all_heavy = True
     for step in trace.steps:
         ensure(step.energy <= n_sq, "energy above n**2")
         if prev is not None:
@@ -92,16 +92,11 @@ def verify_trace(trace, eps, n):
                 prev is not None and prev.phase == PHASE_BALANCE,
                 "a refine step must follow a balance step",
             )
+            ensure(step.irregular_mass > threshold, "refine mass <= eps * n**2")
             gain = step.energy - prev.energy
-            if step.irregular_mass:
-                ensure(gain > eps4 * step.irregular_mass, "gain <= eps**4 * mass")
-            if step.irregular_mass > threshold:
-                ensure(gain > gain_floor, "gain <= eps**5 * n**2")
-            else:
-                all_heavy = False
+            ensure(gain > eps4 * step.irregular_mass, "gain <= eps**4 * mass")
         prev = step
-    if all_heavy:
-        ensure(trace.refine_count <= math.floor((1 / eps) ** 5), "refines > eps**-5")
+    ensure(trace.refine_count <= math.floor((1 / eps) ** 5), "refines > eps**-5")
 
 
 def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):

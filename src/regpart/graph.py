@@ -389,41 +389,39 @@ def energy(g, p):
     explicit matrices). Always in [0, n^2], and it can only grow under
     refinement.
 
-    The singleton classes are collapsed into one mask S. A block between two
-    singletons has e in {0, 1}, so e^2 = e, and all of them together add
-    sum over u in S of |N(u) & S| at mass 1. A singleton {u} and a class b of
-    two or more vertices give the blocks ({u}, b) and (b, {u}), each with
-    e = |N(u) & b|, so together 2e^2 at mass |b|. For the other vertices one
-    pass counts the edges into every class of two or more vertices. So the
-    cost is n k2 + |S| popcounts, with k2 the number of classes of two or more
+    One loop over the classes counts each class's edges into every class b
+    of two or more vertices. A singleton {u} stands for both blocks
+    ({u}, b) and (b, {u}), which have the same count e, so its terms weigh
+    2 and b's own pass skips the singletons. The singletons' blocks with
+    each other, e in {0, 1} so e^2 = e, add |N(u) & S| at mass 1 for each
+    singleton u, with S the mask of all singletons. So the cost is
+    n k2 + |S| popcounts, with k2 the number of classes of two or more
     vertices, not n k. The terms e^2 / (|I||J|) are grouped by block mass
-    |I||J|: the integer e^2 values of a group are summed first, and each group
-    adds one Fraction.
+    |I||J|: the integer e^2 values of a group are summed first, and each
+    group adds one Fraction.
     """
     if not isinstance(p, Partition) or p.ground_size != g.n:
         raise InvalidPartitionError("partition does not match the graph")
     rows = g.rows
-    singles = [c.min_member() for c in p.classes if c.size == 1]
     blocks = [c for c in p.classes if c.size > 1]
     sizes = [c.size for c in blocks]
     masks = [c.mask for c in blocks]
-    s_mask = sum(1 << u for u in singles)
-    by_mass = {1: sum((rows[u] & s_mask).bit_count() for u in singles)}
-    for u in singles:
-        r = rows[u]
-        for size_b, mask_b in zip(sizes, masks):
-            e = (r & mask_b).bit_count()
-            if e:
-                by_mass[size_b] = by_mass.get(size_b, 0) + 2 * e * e
+    s_mask = sum(c.mask for c in p.classes if c.size == 1)
     k2 = len(blocks)
-    for size_a, cls in zip(sizes, blocks):
+    by_mass = {1: 0}
+    for cls in p.classes:
+        size_a = cls.size
         row_counts = [0] * k2
         for u in cls.members():
             r = rows[u]
             for b in range(k2):
                 row_counts[b] += (r & masks[b]).bit_count()
+        weight = 1
+        if size_a == 1:  # r is the row of the class's one member
+            weight = 2
+            by_mass[1] += (r & s_mask).bit_count()
         for size_b, e in zip(sizes, row_counts):
             if e:
                 mass = size_a * size_b
-                by_mass[mass] = by_mass.get(mass, 0) + e * e
+                by_mass[mass] = by_mass.get(mass, 0) + weight * e * e
     return sum((Fraction(s, mass) for mass, s in by_mass.items() if s), Fraction(0))

@@ -190,7 +190,7 @@ def _parse_rows(lines, n):
         return None
     limit = _MAX_VERTICES if n is None else min(n, _MAX_VERTICES)
     top = max(adj, default=-1)
-    if min(adj, default=0) < 0 or top >= limit:
+    if adj and (min(adj) < 0 or top >= limit):
         return None
     zeros = bytearray(b"0") * (top + 1)
     one = ord("1")
@@ -278,10 +278,9 @@ def _raise_first_fault(path, n):
 
 def _first_line_of(path, lo, hi):
     """The first line of an edge file that holds the edge {lo, hi}, lo < hi."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, parts in enumerate(map(str.split, fh), 1):
-            if sorted(map(int, parts)) == [lo, hi]:
-                return lineno
+    for lineno, raw in _numbered_lines(path):
+        if sorted(map(int, raw.split())) == [lo, hi]:
+            return lineno
 
 
 def _numbered_lines(path):

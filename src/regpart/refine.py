@@ -147,7 +147,8 @@ def irregularity_refine(g, p, eps, witnesses):
 
     which exceeds eps**5 * n**2 whenever the witnessed mass exceeds eps*n**2.
     This function evaluates no energy: regularize records the energy of p and
-    of the result, and verify_trace checks both bounds on the gain.
+    of the result, and verify_trace checks that the gain exceeds eps**4
+    times a witnessed mass above eps*n**2.
     """
     eps = require_epsilon(eps)
     if p.ground_size != g.n:

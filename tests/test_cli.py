@@ -135,6 +135,21 @@ class TestRegularize:
         assert code == 1
         assert "explicit vertex count" in err
 
+    def test_empty_graph_with_negative_n_fails(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("")
+        code, _, err = run(capsys, "regularize", "--graph", graph, "--n", -5, "--epsilon", "1/4")
+        assert code == 1
+        assert "graph needs at least one vertex" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_before_undecodable_byte_names_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(b"0 1\n1 0\n2 \xff3\n")
+        code, _, err = run(capsys, "regularize", "--graph", graph, "--epsilon", "1/4")
+        assert code == 1
+        assert f"{graph}: line 2: duplicate edge 1 0 (first on line 1)" in err
+
     def test_malformed_graph_names_line(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("0 1\n1 1\n")

@@ -109,6 +109,15 @@ class TestRegularize:
         assert [s.phase for s in trace.steps] == ["balance"]
         assert trace.steps[0].verdict == "irregular"
 
+    def test_budget_stop_discards_oversized_balance_split(self):
+        # [3, 1, 1] is not balanced at eps 1/4, and its split has 5 classes
+        p0 = Partition.from_sets([[0, 1, 2], [3], [4]], 5)
+        trace = regularize(Graph.empty(5), p0, Fraction(1, 4), max_classes=3)
+        assert not is_balanced(p0, Fraction(1, 4)).balanced
+        assert trace.status == "class_budget_exceeded"
+        assert trace.steps == []
+        assert trace.final == p0
+
     def test_budget_too_small_for_initial(self):
         trace = regularize(Graph.empty(10), Partition.discrete(10), 1, max_classes=5)
         assert trace.status == "class_budget_exceeded"
@@ -165,6 +174,19 @@ class TestVerifyTrace:
             refine, energy=before.energy + Fraction(9, 50)
         )
         with pytest.raises(AssertionError):
+            verify_trace(trace, eps, 4)
+
+    def test_catches_refine_on_mass_at_most_eps_n_sq(self):
+        # regularize refines only on mass > eps*n^2 = 32/5; a forged mass of 6
+        # keeps the real gain above eps^4*mass, yet the step is still refused
+        eps = Fraction(2, 5)
+        g = Graph.from_edges(4, [(0, 2)])
+        p0 = Partition.from_sets([[0, 1], [2, 3]], 4)
+        trace = regularize(g, p0, eps)
+        before, refine = trace.steps[0], trace.steps[1]
+        assert refine.energy - before.energy > eps**4 * 6
+        trace.steps[1] = dataclasses.replace(refine, irregular_mass=6)
+        with pytest.raises(AssertionError, match="mass <= eps"):
             verify_trace(trace, eps, 4)
 
 

@@ -113,6 +113,15 @@ class TestEdgeList:
         with pytest.raises(FormatError, match="line 2: loop at vertex 2"):
             load_edge_list(path)
 
+    def test_duplicate_wins_over_later_undecodable_byte(self, tmp_path):
+        # the bad byte lies in the same decode chunk as both copies of the
+        # edge, and the search for the first copy must not trip over it
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1 0\n2 \xff3\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}: line 2: duplicate edge 1 0 (first on line 1)"
+
     def test_out_of_range_for_explicit_n(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 9\n")
@@ -207,6 +216,19 @@ class TestEdgeList:
         path.write_text("")
         with pytest.raises(BadParamsError, match="at least one vertex"):
             load_edge_list(path, n=0)
+
+    def test_negative_n_without_edges_is_no_vertices(self, tmp_path):
+        # no vertex was read, so no vertex is out of range: n=-5 fails as n=0
+        path = tmp_path / "g.txt"
+        path.write_text("\n")
+        with pytest.raises(BadParamsError, match="at least one vertex"):
+            load_edge_list(path, n=-5)
+
+    def test_negative_n_with_edges_is_out_of_range(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(FormatError, match="line 1: vertex out of range for n=-5"):
+            load_edge_list(path, n=-5)
 
 
 def reference_load_rows(path, n=None):

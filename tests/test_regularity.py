@@ -13,6 +13,7 @@ from conftest import random_graph, random_partition
 from regpart import (
     EmptySetError,
     Graph,
+    InvalidPartitionError,
     InvalidWitnessError,
     PairWitness,
     Partition,
@@ -77,6 +78,12 @@ class TestValidateWitness:
     def test_not_subset(self):
         bad = PairWitness(self.w.y, self.w.y, Fraction(1), Fraction(1, 4))
         with pytest.raises(InvalidWitnessError, match="not contained"):
+            validate_witness(self.g, self.i, self.j, Fraction(2, 5), bad)
+
+    def test_empty_witness_set(self):
+        # the empty set lies in I, so the emptiness test is the one that fires
+        bad = PairWitness(VertexSet.empty(4), self.w.y, Fraction(0), Fraction(1, 4))
+        with pytest.raises(InvalidWitnessError, match="nonempty"):
             validate_witness(self.g, self.i, self.j, Fraction(2, 5), bad)
 
     def test_gap_not_strict(self):
@@ -711,6 +718,11 @@ class TestClassifyPair:
 
 
 class TestCheckPartition:
+    def test_other_ground_size_rejected(self):
+        g, _ = single_edge()
+        with pytest.raises(InvalidPartitionError, match="does not match"):
+            check_partition(g, Partition.single(5), Fraction(2, 5))
+
     def test_single_edge_report(self):
         g, p = single_edge()
         rep = check_partition(g, p, Fraction(2, 5))
