@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidPartitionError, ensure
+from .errors import BadParamsError, InvalidPartitionError, ensure
 from .graph import Partition, energy, require_epsilon
 from .refine import balance_refine, is_balanced, irregularity_refine
 from .regularity import VERDICT_IRREGULAR, check_partition
@@ -107,8 +107,11 @@ def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
     classification finds no irregular excess, or with class_budget_exceeded
     when the next split would leave more than max_classes classes (the
     oversized partition is discarded; final keeps the last good one).
+    A max_classes below 1, which no partition can meet, is a BadParamsError.
     """
     eps = require_epsilon(eps)
+    if max_classes < 1:
+        raise BadParamsError(f"max_classes must be at least 1, got {max_classes}")
     if p0 is None:
         p0 = Partition.single(g.n)
     if p0.ground_size != g.n:

@@ -30,9 +30,10 @@ _MAX_VERTICES = 1 << 20
 # An edge file of at least this many bytes is parsed in two halves, the
 # second in a forked child (_parse_halves). Below it the fork and the pickled
 # rows cost about what the second core saves: on half-graph files in fresh
-# interpreters (2-vCPU Xeon, Python 3.11.7, median of 9), _read_rows took
-# 9.6 ms split against 8.6 ms whole at 65 KiB, 16.7 against 17.0 ms at
-# 190 KiB and 20.6 against 29.7 ms at 278 KiB.
+# interpreters (2-vCPU Xeon, Python 3.11.7, median of 31), _read_rows took
+# 7.5 ms split against 6.3 ms whole at 65 KiB, 13.9 against 13.4 ms at
+# 190 KiB, 19.0 against 24.3 ms at 278 KiB and 24.5 against 27.0 ms at
+# 381 KiB.
 _SPLIT_MIN_CHARS = 256 * 1024
 
 # A byte that is not valid UTF-8, as the "surrogateescape" error handler
@@ -52,10 +53,14 @@ def load_edge_list(path, n=None):
     reported last.
 
     A clean file is read once, by _read_rows: whole, or in two halves parsed
-    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Any fault
-    in either half makes it return None, and only then, with its tables
-    released, does _raise_first_fault scan the whole file again line by line
-    to name the error, so a split file fails with the same message and line.
+    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Each part
+    is parsed from its bytes; only a part that the bytes parse rejects, or
+    that holds a bare "\\r", is decoded as UTF-8 and parsed as text, and
+    that result is final (_parse_part). So a clean ASCII file with "\\n" or
+    "\\r\\n" line ends is never decoded. Any fault in either half makes
+    _read_rows return None, and only then, with its tables released, does
+    _raise_first_fault scan the whole file again line by line to name the
+    error, so a split file fails with the same message and line.
     """
     table = _read_rows(path, n)
     if table is None:
@@ -70,10 +75,11 @@ def _read_rows(path, n):
     or past its middle byte (a file whose lines end in a bare "\\r" has none,
     and its first half is the whole file) and parsed in two processes
     (_parse_halves), where os.fork exists and no other thread runs; any
-    other file is parsed whole, here. Each part's partial rows come from
-    _parse_rows. The table is built once the vertex count has passed its
-    checks, and an edge whose two copies lie in different halves shows as a
-    bit that both halves' rows set.
+    other file is parsed whole, here. Each part is read into memory once,
+    and its partial rows come from _parse_part, which runs the text feed of
+    _parse_rows only where the bytes feed cannot decide. The table is built
+    once the vertex count has passed its checks, and an edge whose two
+    copies lie in different halves shows as a bit that both halves' rows set.
     """
     size = os.path.getsize(path)
     if (
@@ -128,7 +134,7 @@ def _parse_halves(path, n, head):
     data = None
     try:
         with open(r, "rb") as pipe:
-            first = _parse_rows(io.TextIOWrapper(io.BytesIO(head), "utf-8"), n)
+            first = _parse_part(head, n)
             if first is None:
                 return [None]
             data = pipe.read()
@@ -162,26 +168,44 @@ def _send_rows(path, n, split, r, w):
 
 
 def _parse_from(path, offset, n):
-    """The _parse_rows of an edge file from byte offset (a line start) on."""
+    """The _parse_part of an edge file from byte offset (a line start) on."""
     with open(path, "rb") as fh:
         fh.seek(offset)
-        with io.TextIOWrapper(fh, "utf-8") as lines:
-            return _parse_rows(lines, n)
+        return _parse_part(fh.read(), n)
+
+
+def _parse_part(data, n):
+    """The _parse_rows of data, the bytes of some whole lines of an edge file.
+
+    The bytes feed runs first: the bytes.split tokens of each "\\n"-ended
+    line. It succeeds only on lines of ASCII digits, "+", "-", "_" and ASCII
+    whitespace, which both feeds split and convert alike. The text feed, data
+    decoded as UTF-8 and split into lines at "\\n", "\\r\\n" or "\\r" and into
+    tokens by str.split, decides when the bytes feed returns None or data
+    holds a bare "\\r", which ends a line only in text.
+    """
+    if data.count(b"\r") == data.count(b"\r\n"):
+        rows = _parse_rows(map(bytes.split, io.BytesIO(data)), n)
+        if rows is not None:
+            return rows
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8")
+    return _parse_rows(map(str.split, text), n)
 
 
 def _parse_rows(lines, n):
     """The partial rows {u: bitmask} of some lines of an edge file, or None on a fault.
 
-    Each token is converted by int() on its first sighting only, and each
-    edge is appended to both endpoints' neighbour lists. Only after the
-    vertex ids pass the range check and _MAX_VERTICES is each row bitmask
-    built, once, from a bytearray of '0'/'1' digits.
+    lines holds the token list of each line, all bytes or all str
+    (_parse_part). Each token is converted by int() on its first sighting
+    only, and each edge is appended to both endpoints' neighbour lists. Only
+    after the vertex ids pass the range check and _MAX_VERTICES is each row
+    bitmask built, once, from a bytearray of '0'/'1' digits.
     """
     ids = {}
     adj = {}
     get = ids.get
     try:
-        for a, b in filter(None, map(str.split, lines)):
+        for a, b in filter(None, lines):
             u, u_nbrs = get(a) or _sight(ids, adj, a)
             v, v_nbrs = get(b) or _sight(ids, adj, b)
             u_nbrs.append(v)

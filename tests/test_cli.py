@@ -98,6 +98,17 @@ class TestRegularize:
         assert code == 3
         assert json.loads(out)["status"] == "class_budget_exceeded"
 
+    @pytest.mark.parametrize("max_classes", [0, -3])
+    def test_budget_below_one_exits_one(self, tmp_path, capsys, max_classes):
+        graph, part = write_single_edge(tmp_path)
+        code, out, err = run(
+            capsys, "regularize", "--graph", graph, "--partition", part,
+            "--epsilon", "2/5", "--max-classes", max_classes,
+        )
+        assert code == 1
+        assert out == ""
+        assert "max_classes must be at least 1" in err
+
     def test_heuristic_exit(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         code, _, _ = run(

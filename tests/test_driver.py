@@ -15,6 +15,7 @@ from conftest import random_graph
 import regpart
 from regpart import (
     BadEpsilonError,
+    BadParamsError,
     Graph,
     InvalidPartitionError,
     Partition,
@@ -123,6 +124,11 @@ class TestRegularize:
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
+
+    @pytest.mark.parametrize("max_classes", [0, -3])
+    def test_budget_below_one_is_a_bad_parameter(self, max_classes):
+        with pytest.raises(BadParamsError, match="max_classes must be at least 1"):
+            regularize(Graph.empty(4), None, Fraction(1, 4), max_classes=max_classes)
 
     def test_mismatched_p0(self):
         with pytest.raises(InvalidPartitionError):

@@ -235,7 +235,7 @@ def reference_load_rows(path, n=None):
     """Line-by-line loader that keeps a `seen` dict of edges: rows, or raises."""
     edges = []
     seen = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             text = raw.strip()
             if not text:
@@ -291,11 +291,31 @@ def load_outcome(load, path, n):
 
 
 # Lines that are not a plain valid edge, in the spellings the loader must
-# treat exactly as int() and str.split() do.
+# treat exactly as int() and str.split() do. The last two rows are where
+# bytes and str could part: both split() on "\x0b" and "\x0c", only str's on
+# "\x1c", "\x85", "\u2028" and "\u00a0"; int() reads Arabic-Indic digits
+# only from str; and a bare "\r" ends a line only in text.
 ODD_LINES = (
     "a b", "1 2 3", "7", "+2 3", "1_0 4", "-1 3", "3 -0", "  ", "0x1 2",
     "\t2\t5 ", "1.0 2", "2000000 3", "3 2000000",
+    "0\x0b1", "0\x0c1", "0\x1c1", "0\x851", "0\u20281", "0\u00a01",
+    "\u0663 \u0664", "0\r1",
 )
+
+# The line endings of one file: one kind throughout, or all three mixed.
+NEWLINES = (("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r"))
+
+
+def joined(draw, lines):
+    """lines as one file's text, each ended by a newline of one drawn set.
+
+    The last line's newline is dropped half of the time.
+    """
+    newlines = draw(st.sampled_from(NEWLINES))
+    text = "".join(line + draw(st.sampled_from(newlines)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
 
 
 VERTEX_NAMES = frozenset(str(v) for v in range(14))
@@ -332,9 +352,7 @@ def edge_files(draw):
         lines = clean
     far = any("2000000" in line for line in lines)
     n = draw(st.sampled_from([5, 14] if far else [None, None, 5, 10, 14, 20]))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
-    return text, n
+    return joined(draw, lines), n
 
 
 def spelled(draw, v):
@@ -375,9 +393,7 @@ def multiword_edge_files(draw):
         lines = clean
     far = any("2000000" in text for _, text in lines)
     n = draw(st.sampled_from([150, 201] if far else [None, None, 150, 201, 256]))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = newline.join(text for _, text in lines)
-    return text + (newline if draw(st.booleans()) else ""), n
+    return joined(draw, [text for _, text in lines]), n
 
 
 def assert_matches_reference(case):
@@ -423,6 +439,75 @@ class TestSplitEdgeListMatchesReference:
     @given(multiword_edge_files())
     def test_multiword_same_rows_or_same_error(self, case):
         assert_matches_reference(case)
+
+
+class TestParseFeeds:
+    """Which feed decides a part: bytes tokens first, decoded text when needed."""
+
+    EDGES = [(0, 1), (1, 2), (2, 5), (4, 3)]
+    LF = "".join(f"{u} {v}\n" for u, v in EDGES)
+    ROWS = Graph.from_edges(6, EDGES).rows
+
+    @pytest.fixture
+    def feeds(self, monkeypatch):
+        """The token types of each _parse_rows call made in this process."""
+        calls = []
+        parse_rows = regpart_io._parse_rows
+
+        def recorded(lines, n):
+            kinds = set()
+            calls.append(kinds)
+
+            def tapped():
+                for tokens in lines:
+                    kinds.update(map(type, tokens))
+                    yield tokens
+
+            return parse_rows(tapped(), n)
+
+        monkeypatch.setattr(regpart_io, "_parse_rows", recorded)
+        return calls
+
+    def load_text(self, tmp_path, text, n=None):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        return load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_clean_ascii_file_is_parsed_once_as_bytes(self, tmp_path, feeds, newline):
+        got = self.load_text(tmp_path, self.LF.replace("\n", newline))
+        assert got == ("rows", self.ROWS)
+        assert feeds == [{bytes}]
+
+    def test_split_clean_file_parses_the_first_half_once_as_bytes(
+        self, tmp_path, feeds, monkeypatch
+    ):
+        monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+        assert self.load_text(tmp_path, self.LF) == ("rows", self.ROWS)
+        # the second half is parsed in the forked child
+        assert feeds == [{bytes}]
+
+    @pytest.mark.parametrize(
+        "spelling, feed",
+        [
+            # a bare "\r" ends a line only in text: the bytes feed never runs
+            (lambda text: text.replace("\n", "\r"), [{str}]),
+            # bytes.split() does not separate on "\x1c", so int() fails on
+            # bytes and the text feed decides
+            (lambda text: text.replace(" ", "\x1c"), [{bytes}, {str}]),
+        ],
+    )
+    def test_text_feed_reads_what_bytes_cannot(self, tmp_path, feeds, spelling, feed):
+        assert self.load_text(tmp_path, spelling(self.LF)) == ("rows", self.ROWS)
+        assert feeds == feed
+
+    @pytest.mark.parametrize("bad", ["x y\n", "1 0\n", "3 3\n", "1 2 3\n"])
+    def test_fault_is_decided_by_the_text_feed(self, tmp_path, feeds, bad):
+        got = self.load_text(tmp_path, self.LF + bad)
+        path = tmp_path / "g.txt"
+        assert got == load_outcome(reference_load_rows, path, None)
+        assert got[0] == "error" and got[2] == 5
+        assert feeds == [{bytes}, {str}]
 
 
 def assert_no_child_left():
