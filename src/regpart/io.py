@@ -1,8 +1,10 @@
 """File formats: edge lists, partitions, report JSON and trace JSON.
 
 All writers emit canonical bytes (sorted members, "\n" line endings, fixed
-key order), so identical runs serialize identically. Loaders are strict and
-name the offending line on malformed input. Rationals serialize as their
+key order), so identical runs serialize identically. Edge lists and
+partitions are ASCII: lines end at "\n", a "\r" is whitespace, and the
+tokens of a line are what bytes.split returns. Loaders are strict and name
+the offending line on malformed input. Rationals serialize as their
 canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
 """
 
@@ -10,7 +12,6 @@ import io
 import json
 import os
 import pickle
-import re
 import signal
 import threading
 from dataclasses import fields, is_dataclass
@@ -36,10 +37,6 @@ _MAX_VERTICES = 1 << 20
 # 381 KiB.
 _SPLIT_MIN_CHARS = 256 * 1024
 
-# A byte that is not valid UTF-8, as the "surrogateescape" error handler
-# decodes it.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
 
 def load_edge_list(path, n=None):
     """Read a "u v" per-line edge file.
@@ -53,14 +50,11 @@ def load_edge_list(path, n=None):
     reported last.
 
     A clean file is read once, by _read_rows: whole, or in two halves parsed
-    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Each part
-    is parsed from its bytes; only a part that the bytes parse rejects, or
-    that holds a bare "\\r", is decoded as UTF-8 and parsed as text, and
-    that result is final (_parse_part). So a clean ASCII file with "\\n" or
-    "\\r\\n" line ends is never decoded. Any fault in either half makes
-    _read_rows return None, and only then, with its tables released, does
-    _raise_first_fault scan the whole file again line by line to name the
-    error, so a split file fails with the same message and line.
+    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Any fault
+    in either half makes _read_rows return None, and only then, with its
+    tables released, does _raise_first_fault scan the whole file again line
+    by line to name the error, with the same tokens, so a split file fails
+    with the same message and line.
     """
     table = _read_rows(path, n)
     if table is None:
@@ -72,14 +66,13 @@ def _read_rows(path, n):
     """The adjacency row bitmasks of an edge file, or None if it has any fault.
 
     A file of _SPLIT_MIN_CHARS bytes or more is cut after the first "\\n" at
-    or past its middle byte (a file whose lines end in a bare "\\r" has none,
-    and its first half is the whole file) and parsed in two processes
-    (_parse_halves), where os.fork exists and no other thread runs; any
-    other file is parsed whole, here. Each part is read into memory once,
-    and its partial rows come from _parse_part, which runs the text feed of
-    _parse_rows only where the bytes feed cannot decide. The table is built
-    once the vertex count has passed its checks, and an edge whose two
-    copies lie in different halves shows as a bit that both halves' rows set.
+    or past its middle byte and parsed in two processes (_parse_halves),
+    where os.fork exists and no other thread runs. Any other file, and one
+    with no "\\n" past its middle, is parsed whole, here. Each part is read
+    into memory once, and its partial rows come from _parse_rows. The table
+    is built once the vertex count has passed its checks, and an edge whose
+    two copies lie in different halves shows as a bit that both halves'
+    rows set.
     """
     size = os.path.getsize(path)
     if (
@@ -95,7 +88,7 @@ def _read_rows(path, n):
             split = fh.tell()
             fh.seek(0)
             head = fh.read(split)
-        parts = _parse_halves(path, n, head)
+        parts = _parse_halves(path, n, head) if split < size else [_parse_rows(head, n)]
     if None in parts:
         return None
     top = max(max(rows, default=-1) for rows in parts)
@@ -134,7 +127,7 @@ def _parse_halves(path, n, head):
     data = None
     try:
         with open(r, "rb") as pipe:
-            first = _parse_part(head, n)
+            first = _parse_rows(head, n)
             if first is None:
                 return [None]
             data = pipe.read()
@@ -168,44 +161,27 @@ def _send_rows(path, n, split, r, w):
 
 
 def _parse_from(path, offset, n):
-    """The _parse_part of an edge file from byte offset (a line start) on."""
+    """The _parse_rows of an edge file from byte offset (a line start) on."""
     with open(path, "rb") as fh:
         fh.seek(offset)
-        return _parse_part(fh.read(), n)
+        return _parse_rows(fh.read(), n)
 
 
-def _parse_part(data, n):
-    """The _parse_rows of data, the bytes of some whole lines of an edge file.
+def _parse_rows(data, n):
+    """The partial rows {u: bitmask} of data, whole lines of an edge file, or None.
 
-    The bytes feed runs first: the bytes.split tokens of each "\\n"-ended
-    line. It succeeds only on lines of ASCII digits, "+", "-", "_" and ASCII
-    whitespace, which both feeds split and convert alike. The text feed, data
-    decoded as UTF-8 and split into lines at "\\n", "\\r\\n" or "\\r" and into
-    tokens by str.split, decides when the bytes feed returns None or data
-    holds a bare "\\r", which ends a line only in text.
-    """
-    if data.count(b"\r") == data.count(b"\r\n"):
-        rows = _parse_rows(map(bytes.split, io.BytesIO(data)), n)
-        if rows is not None:
-            return rows
-    text = io.TextIOWrapper(io.BytesIO(data), "utf-8")
-    return _parse_rows(map(str.split, text), n)
-
-
-def _parse_rows(lines, n):
-    """The partial rows {u: bitmask} of some lines of an edge file, or None on a fault.
-
-    lines holds the token list of each line, all bytes or all str
-    (_parse_part). Each token is converted by int() on its first sighting
-    only, and each edge is appended to both endpoints' neighbour lists. Only
-    after the vertex ids pass the range check and _MAX_VERTICES is each row
-    bitmask built, once, from a bytearray of '0'/'1' digits.
+    The tokens of each "\\n"-ended line are its bytes.split; a byte that is
+    not ASCII lands in a token that int() rejects. Each token is converted
+    by int() on its first sighting only, and each edge is appended to both
+    endpoints' neighbour lists. Only after the vertex ids pass the range
+    check and _MAX_VERTICES is each row bitmask built, once, from a
+    bytearray of '0'/'1' digits.
     """
     ids = {}
     adj = {}
     get = ids.get
     try:
-        for a, b in filter(None, lines):
+        for a, b in filter(None, map(bytes.split, io.BytesIO(data))):
             u, u_nbrs = get(a) or _sight(ids, adj, a)
             v, v_nbrs = get(b) or _sight(ids, adj, b)
             u_nbrs.append(v)
@@ -244,11 +220,12 @@ def _sight(ids, adj, token):
 def _raise_first_fault(path, n):
     """Raise the FormatError of an edge file that load_edge_list rejected.
 
-    Scans the file line by line. The first line fault in file order wins
-    (a byte that is not UTF-8, a malformed line, a non-integer or negative
-    vertex, a loop, a repeated edge), then the first line with a vertex out
-    of range for an explicit n, then an empty file without n, then a vertex
-    count above _MAX_VERTICES.
+    Scans the file line by line, splitting and converting each line's bytes
+    as _parse_rows does. The first line fault in file order wins (a byte
+    that is not ASCII, a malformed line, a non-integer or negative vertex, a
+    loop, a repeated edge), then the first line with a vertex out of range
+    for an explicit n, then an empty file without n, then a vertex count
+    above _MAX_VERTICES.
     A file with none of these faults is a bug in the caller. Only edge keys
     are kept: a repeat's first line is found by a second scan.
     """
@@ -259,17 +236,20 @@ def _raise_first_fault(path, n):
         parts = raw.split()
         if not parts:
             continue
-        text = raw.strip()
         if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {text!r}", path=path, line=lineno)
+            raise FormatError(
+                f"expected 'u v', got {_quoted(raw.strip())}", path=path, line=lineno
+            )
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError(
-                f"non-integer vertex in {text!r}", path=path, line=lineno
+                f"non-integer vertex in {_quoted(raw.strip())}", path=path, line=lineno
             ) from None
         if u < 0 or v < 0:
-            raise FormatError(f"negative vertex in {text!r}", path=path, line=lineno)
+            raise FormatError(
+                f"negative vertex in {_quoted(raw.strip())}", path=path, line=lineno
+            )
         if u == v:
             raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
         lo, hi = (u, v) if u < v else (v, u)
@@ -308,25 +288,24 @@ def _first_line_of(path, lo, hi):
 
 
 def _numbered_lines(path):
-    """Each (line number from 1, line) of a text file, read as UTF-8.
+    """Each (line number from 1, line) of a file, as bytes split after each "\\n".
 
     Raises the FormatError of the first line that holds a byte which is not
-    valid UTF-8, naming the file, the line and the byte. Undecodable bytes
-    are read as the lone surrogates U+DC80..U+DCFF, which no valid UTF-8
-    text decodes to, so each line is decoded in order and a fault on an
-    earlier line still wins.
+    ASCII, naming the file, the line and the byte. Lines are read in order,
+    so a fault on an earlier line still wins.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            # isascii() reads a flag of the string, so only a line with a
-            # non-ASCII character is searched
-            bad = not raw.isascii() and _UNDECODABLE.search(raw)
-            if bad:
-                byte = ord(bad.group()) - 0xDC00
-                raise FormatError(
-                    f"byte {byte:#04x} is not valid UTF-8", path=path, line=lineno
-                )
+            if not raw.isascii():
+                byte = next(b for b in raw if b > 0x7F)
+                raise FormatError(f"byte {byte:#04x} is not ASCII", path=path, line=lineno)
             yield lineno, raw
+
+
+def _quoted(token):
+    """The repr of an ASCII line or token for a message, cut after 60 characters."""
+    text = token.decode()
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
 
 
 def dump_edge_list(g, path):
@@ -340,8 +319,9 @@ def load_partition(path):
 
     Class indices must be 0, 1, ... in file order. The ground size n is the
     total number of vertices listed, and the classes must partition 0..n-1
-    exactly. The file is UTF-8, and a byte that is not gets the FormatError
-    of its line (_numbered_lines).
+    exactly. The file is read and split as an edge list is: a byte that is
+    not ASCII gets the FormatError of its line (_numbered_lines), and the
+    members are the bytes.split tokens after the colon.
     """
     member_lists = []
     first_line = {}
@@ -349,16 +329,16 @@ def load_partition(path):
         text = raw.strip()
         if not text:
             continue
-        head, sep, tail = text.partition(":")
+        head, sep, tail = text.partition(b":")
         if not sep:
             raise FormatError(
-                f"expected 'k: v1 v2 ...', got {text!r}", path=path, line=lineno
+                f"expected 'k: v1 v2 ...', got {_quoted(text)}", path=path, line=lineno
             )
         try:
             k = int(head)
         except ValueError:
             raise FormatError(
-                f"non-integer class index {head!r}", path=path, line=lineno
+                f"non-integer class index {_quoted(head)}", path=path, line=lineno
             ) from None
         if k != len(member_lists):
             raise FormatError(
@@ -375,7 +355,7 @@ def load_partition(path):
                 v = int(tok)
             except ValueError:
                 raise FormatError(
-                    f"non-integer vertex {tok!r}", path=path, line=lineno
+                    f"non-integer vertex {_quoted(tok)}", path=path, line=lineno
                 ) from None
             if v < 0:
                 raise FormatError(f"negative vertex {v}", path=path, line=lineno)

@@ -173,14 +173,14 @@ class TestRegularize:
         graph.write_bytes(b"0 1\n1 \xff2\n")
         code, _, err = run(capsys, "regularize", "--graph", graph, "--epsilon", "1/4")
         assert code == 1
-        assert f"{graph}: line 2: byte 0xff is not valid UTF-8" in err
+        assert f"{graph}: line 2: byte 0xff is not ASCII" in err
         graph, part = write_single_edge(tmp_path)
         part.write_bytes(b"0: 0 1\n1: 2 \xff3\n")
         code, _, err = run(
             capsys, "check", "--graph", graph, "--partition", part, "--epsilon", "1/4"
         )
         assert code == 1
-        assert f"{part}: line 2: byte 0xff is not valid UTF-8" in err
+        assert f"{part}: line 2: byte 0xff is not ASCII" in err
 
     @pytest.mark.parametrize(
         "edges, extra",

@@ -98,24 +98,28 @@ class TestEdgeList:
         with pytest.raises(FormatError) as info:
             load_edge_list(path)
         assert (info.value.path, info.value.line) == (path, 2)
-        assert str(info.value) == f"{path}: line 2: byte 0xff is not valid UTF-8"
+        assert str(info.value) == f"{path}: line 2: byte 0xff is not ASCII"
 
-    def test_non_ascii_utf8_is_a_non_integer(self, tmp_path):
+    def test_non_ascii_utf8_names_its_first_byte(self, tmp_path):
+        # "\u00e9" is the UTF-8 bytes c3 a9; "\u0663" (an Arabic-Indic 3,
+        # which int() reads from str) is d9 a3
         path = tmp_path / "g.txt"
         path.write_bytes("0 1\n1 \u00e9\n".encode())
-        with pytest.raises(FormatError, match="line 2: non-integer vertex"):
+        with pytest.raises(FormatError, match="line 2: byte 0xc3 is not ASCII"):
+            load_edge_list(path)
+        path.write_bytes("0 1\n\u0663 4\n".encode())
+        with pytest.raises(FormatError, match="line 2: byte 0xd9 is not ASCII"):
             load_edge_list(path)
 
     def test_earlier_fault_wins_over_undecodable_byte(self, tmp_path):
-        # the bad byte lies in the same decode chunk as the loop before it
         path = tmp_path / "g.txt"
         path.write_bytes(b"0 1\n2 2\n1 \xff2\n")
         with pytest.raises(FormatError, match="line 2: loop at vertex 2"):
             load_edge_list(path)
 
     def test_duplicate_wins_over_later_undecodable_byte(self, tmp_path):
-        # the bad byte lies in the same decode chunk as both copies of the
-        # edge, and the search for the first copy must not trip over it
+        # the search for the first copy of the edge must not trip over the
+        # bad byte after it
         path = tmp_path / "g.txt"
         path.write_bytes(b"0 1\n1 0\n2 \xff3\n")
         with pytest.raises(FormatError) as info:
@@ -232,28 +236,39 @@ class TestEdgeList:
 
 
 def reference_load_rows(path, n=None):
-    """Line-by-line loader that keeps a `seen` dict of edges: rows, or raises."""
+    """Line-by-line ASCII loader that keeps a `seen` dict of edges: rows, or raises.
+
+    Lines end at b"\\n" and their tokens are bytes.split's; a line with a
+    byte that is not ASCII fails on the first such byte, and a message
+    quotes at most 60 characters of its line.
+    """
     edges = []
     seen = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
+            bad = [b for b in raw if b >= 0x80]
+            if bad:
+                raise FormatError(
+                    f"byte {bad[0]:#04x} is not ASCII", path=path, line=lineno
+                )
+            text = raw.strip().decode()
             if not text:
                 continue
-            parts = text.split()
+            quoted = repr(text[:60]) + "..." if len(text) > 60 else repr(text)
+            parts = raw.split()
             if len(parts) != 2:
                 raise FormatError(
-                    f"expected 'u v', got {text!r}", path=path, line=lineno
+                    f"expected 'u v', got {quoted}", path=path, line=lineno
                 )
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError(
-                    f"non-integer vertex in {text!r}", path=path, line=lineno
+                    f"non-integer vertex in {quoted}", path=path, line=lineno
                 ) from None
             if u < 0 or v < 0:
                 raise FormatError(
-                    f"negative vertex in {text!r}", path=path, line=lineno
+                    f"negative vertex in {quoted}", path=path, line=lineno
                 )
             if u == v:
                 raise FormatError(f"loop at vertex {u}", path=path, line=lineno)
@@ -291,10 +306,10 @@ def load_outcome(load, path, n):
 
 
 # Lines that are not a plain valid edge, in the spellings the loader must
-# treat exactly as int() and str.split() do. The last two rows are where
-# bytes and str could part: both split() on "\x0b" and "\x0c", only str's on
-# "\x1c", "\x85", "\u2028" and "\u00a0"; int() reads Arabic-Indic digits
-# only from str; and a bare "\r" ends a line only in text.
+# treat exactly as bytes.split() and int() on bytes do. The last two rows
+# are where an ASCII format parts from text: "\x0b", "\x0c" and "\r" are
+# whitespace but "\x1c" is not; the UTF-8 bytes of "\x85", "\u2028",
+# "\u00a0" and the Arabic-Indic digits "\u0663 \u0664" are not ASCII.
 ODD_LINES = (
     "a b", "1 2 3", "7", "+2 3", "1_0 4", "-1 3", "3 -0", "  ", "0x1 2",
     "\t2\t5 ", "1.0 2", "2000000 3", "3 2000000",
@@ -302,7 +317,8 @@ ODD_LINES = (
     "\u0663 \u0664", "0\r1",
 )
 
-# The line endings of one file: one kind throughout, or all three mixed.
+# The line endings of one file: one kind throughout, or all three mixed. A
+# bare "\r" does not end a line, so a file of bare-"\r" lines is one line.
 NEWLINES = (("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r"))
 
 
@@ -442,28 +458,21 @@ class TestSplitEdgeListMatchesReference:
 
 
 class TestParseFeeds:
-    """Which feed decides a part: bytes tokens first, decoded text when needed."""
+    """Each part of an edge file is parsed by one _parse_rows call on its bytes."""
 
     EDGES = [(0, 1), (1, 2), (2, 5), (4, 3)]
     LF = "".join(f"{u} {v}\n" for u, v in EDGES)
     ROWS = Graph.from_edges(6, EDGES).rows
 
     @pytest.fixture
-    def feeds(self, monkeypatch):
-        """The token types of each _parse_rows call made in this process."""
+    def parses(self, monkeypatch):
+        """The data of each _parse_rows call made in this process."""
         calls = []
         parse_rows = regpart_io._parse_rows
 
-        def recorded(lines, n):
-            kinds = set()
-            calls.append(kinds)
-
-            def tapped():
-                for tokens in lines:
-                    kinds.update(map(type, tokens))
-                    yield tokens
-
-            return parse_rows(tapped(), n)
+        def recorded(data, n):
+            calls.append(data)
+            return parse_rows(data, n)
 
         monkeypatch.setattr(regpart_io, "_parse_rows", recorded)
         return calls
@@ -474,40 +483,36 @@ class TestParseFeeds:
         return load_outcome(lambda p, k: load_edge_list(p, k).rows, path, n)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_clean_ascii_file_is_parsed_once_as_bytes(self, tmp_path, feeds, newline):
-        got = self.load_text(tmp_path, self.LF.replace("\n", newline))
-        assert got == ("rows", self.ROWS)
-        assert feeds == [{bytes}]
+    def test_clean_ascii_file_is_parsed_once_as_bytes(self, tmp_path, parses, newline):
+        text = self.LF.replace("\n", newline)
+        assert self.load_text(tmp_path, text) == ("rows", self.ROWS)
+        assert parses == [text.encode()]
 
     def test_split_clean_file_parses_the_first_half_once_as_bytes(
-        self, tmp_path, feeds, monkeypatch
+        self, tmp_path, parses, monkeypatch
     ):
         monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
         assert self.load_text(tmp_path, self.LF) == ("rows", self.ROWS)
         # the second half is parsed in the forked child
-        assert feeds == [{bytes}]
+        data = self.LF.encode()
+        assert parses == [data[: data.index(b"\n", len(data) // 2) + 1]]
 
     @pytest.mark.parametrize(
-        "spelling, feed",
+        "spelling, line",
         [
-            # a bare "\r" ends a line only in text: the bytes feed never runs
-            (lambda text: text.replace("\n", "\r"), [{str}]),
-            # bytes.split() does not separate on "\x1c", so int() fails on
-            # bytes and the text feed decides
-            (lambda text: text.replace(" ", "\x1c"), [{bytes}, {str}]),
+            (lambda text: text + "x y\n", 5),
+            (lambda text: text.replace("\n", "\r"), 1),
+            (lambda text: text.replace(" ", "\x1c"), 1),
         ],
+        ids=["junk line", "bare CR", "FS"],
     )
-    def test_text_feed_reads_what_bytes_cannot(self, tmp_path, feeds, spelling, feed):
-        assert self.load_text(tmp_path, spelling(self.LF)) == ("rows", self.ROWS)
-        assert feeds == feed
-
-    @pytest.mark.parametrize("bad", ["x y\n", "1 0\n", "3 3\n", "1 2 3\n"])
-    def test_fault_is_decided_by_the_text_feed(self, tmp_path, feeds, bad):
-        got = self.load_text(tmp_path, self.LF + bad)
-        path = tmp_path / "g.txt"
-        assert got == load_outcome(reference_load_rows, path, None)
-        assert got[0] == "error" and got[2] == 5
-        assert feeds == [{bytes}, {str}]
+    def test_fault_is_parsed_once_then_rescanned(
+        self, tmp_path, parses, spelling, line
+    ):
+        got = self.load_text(tmp_path, spelling(self.LF))
+        assert got == load_outcome(reference_load_rows, tmp_path / "g.txt", None)
+        assert got[0] == "error" and got[2] == line
+        assert len(parses) == 1
 
 
 def assert_no_child_left():
@@ -587,9 +592,24 @@ class TestSplitEdgeList:
         with pytest.raises(FormatError) as info:
             load_edge_list(edge_file)
         assert info.value.line == self.g.edge_count + 1
-        assert str(info.value).endswith("byte 0xe9 is not valid UTF-8")
+        assert str(info.value).endswith("byte 0xe9 is not ASCII")
         assert len(forks) == 1
         assert_no_child_left()
+
+    @pytest.mark.parametrize("text", ["0 1\n", "0 1\r1 2\r"])
+    def test_no_newline_past_the_middle_means_no_fork(
+        self, tmp_path, monkeypatch, text
+    ):
+        # from its middle byte on, a one-line file or one with bare-"\r" line
+        # ends has no line start, so there is no second half to fork for
+        monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        expected = load_outcome(reference_load_rows, path, None)
+        got = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, None)
+        assert got == expected
+        assert expected[0] == ("rows" if text == "0 1\n" else "error")
 
     def test_fault_in_first_half_kills_the_child(self, edge_file, forks):
         text = edge_file.read_text()
@@ -696,13 +716,54 @@ class TestPartitionFile:
         with pytest.raises(FormatError) as info:
             load_partition(path)
         assert (info.value.path, info.value.line) == (path, 2)
-        assert str(info.value) == f"{path}: line 2: byte 0xe9 is not valid UTF-8"
+        assert str(info.value) == f"{path}: line 2: byte 0xe9 is not ASCII"
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0 1 2\n")
         with pytest.raises(FormatError, match="expected 'k:"):
             load_partition(path)
+
+    def test_members_are_split_as_edge_list_tokens(self, tmp_path):
+        # "\x1c" is not ASCII whitespace, so "0\x1c1" is one member; "\r"
+        # and "\x0b" are
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"0: 0\r1\x0b2\r\n")
+        assert load_partition(path) == Partition.from_sets([[0, 1, 2]], 3)
+        path.write_bytes(b"0: 0\x1c1\n")
+        with pytest.raises(FormatError) as info:
+            load_partition(path)
+        assert str(info.value) == f"{path}: line 1: non-integer vertex '0\\x1c1'"
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (
+            load_edge_list,
+            "0 1\r" * (1 << 18),
+            "expected 'u v', got " + repr("0 1\r" * 15) + "...",
+        ),
+        (
+            load_partition,
+            "0: 0 1\n1: " + "x" * (1 << 20),
+            "non-integer vertex " + repr("x" * 60) + "...",
+        ),
+    ],
+    ids=["edge list", "partition"],
+)
+def test_message_quotes_at_most_60_characters(
+    tmp_path, monkeypatch, load, text, message
+):
+    # a 1 MB line: a file with bare-"\r" line ends is a single line
+    monkeypatch.chdir(tmp_path)
+    path = Path("g.txt")
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError) as info:
+        load(path)
+    line = text.count("\n") + 1
+    assert str(info.value) == f"g.txt: line {line}: {message}"
+    assert len(str(info.value)) < 200
 
 
 def single_edge_run():
