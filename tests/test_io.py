@@ -498,20 +498,27 @@ class TestParseFeeds:
         assert parses == [data[: data.index(b"\n", len(data) // 2) + 1]]
 
     @pytest.mark.parametrize(
-        "spelling, line",
+        "spelling",
         [
-            (lambda text: text + "x y\n", 5),
-            (lambda text: text.replace("\n", "\r"), 1),
-            (lambda text: text.replace(" ", "\x1c"), 1),
+            lambda text: text.replace("\n", "\r"),
+            lambda text: text.replace(" ", "\x1c"),
         ],
-        ids=["junk line", "bare CR", "FS"],
+        ids=["bare CR", "FS"],
     )
-    def test_fault_is_parsed_once_then_rescanned(
-        self, tmp_path, parses, spelling, line
-    ):
+    def test_fault_is_parsed_once_then_rescanned(self, tmp_path, parses, spelling):
+        # a file with no valid line end or separator is one malformed line
         got = self.load_text(tmp_path, spelling(self.LF))
         assert got == load_outcome(reference_load_rows, tmp_path / "g.txt", None)
-        assert got[0] == "error" and got[2] == line
+        assert got[0] == "error" and got[2] == 1
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("bad", ["x y\n", "1 0\n", "3 3\n", "1 2 3\n"])
+    def test_fault_is_decided_by_the_text_feed(self, tmp_path, parses, bad):
+        # the bytes parse only finds that the file has a fault; the error and
+        # its line come from the rescan of the file's lines, the text feed
+        got = self.load_text(tmp_path, self.LF + bad)
+        assert got == load_outcome(reference_load_rows, tmp_path / "g.txt", None)
+        assert got[0] == "error" and got[2] == 5
         assert len(parses) == 1
 
 
