@@ -3,9 +3,9 @@
 All writers emit canonical bytes (sorted members, "\n" line endings, fixed
 key order), so identical runs serialize identically. Edge lists and
 partitions are ASCII: lines end at "\n", a "\r" is whitespace, and the
-tokens of a line are what bytes.split returns. Loaders are strict and name
-the offending line on malformed input. Rationals serialize as their
-canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
+tokens of a line are what bytes.split returns. Loaders read each file once
+and name the offending line of malformed input. Rationals serialize as
+their canonical lowest-terms string ("1/4", "2"), which round-trips exactly.
 """
 
 import io
@@ -49,46 +49,39 @@ def load_edge_list(path, n=None):
     line anywhere wins over them, and a vertex count above _MAX_VERTICES is
     reported last.
 
-    A clean file is read once, by _read_rows: whole, or in two halves parsed
-    by two processes when it has _SPLIT_MIN_CHARS bytes or more. Any fault
-    in either half makes _read_rows return None, and only then, with its
-    tables released, does _raise_first_fault scan the whole file again line
-    by line to name the error, with the same tokens, so a split file fails
-    with the same message and line.
+    The path is opened and read once, so it may be a pipe, and every later
+    step parses those bytes: _read_rows, whole or in two processes, and only
+    if it finds a fault, once its tables are released, _raise_first_fault,
+    which rescans them line by line with the same tokens to name the error.
     """
-    table = _read_rows(path, n)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = _read_rows(data, n)
     if table is None:
-        _raise_first_fault(path, n)
+        _raise_first_fault(data, path, n)
     return Graph(table)
 
 
-def _read_rows(path, n):
-    """The adjacency row bitmasks of an edge file, or None if it has any fault.
+def _read_rows(data, n):
+    """The adjacency row bitmasks of edge-file bytes, or None if they have any fault.
 
-    A file of _SPLIT_MIN_CHARS bytes or more is cut after the first "\\n" at
-    or past its middle byte and parsed in two processes (_parse_halves),
-    where os.fork exists and no other thread runs. Any other file, and one
-    with no "\\n" past its middle, is parsed whole, here. Each part is read
-    into memory once, and its partial rows come from _parse_rows. The table
-    is built once the vertex count has passed its checks, and an edge whose
-    two copies lie in different halves shows as a bit that both halves'
-    rows set.
+    Bytes of _SPLIT_MIN_CHARS or more are cut after the first "\\n" at or
+    past their middle byte and parsed in two processes (_parse_halves), where
+    os.fork exists and no other thread runs; any others are parsed whole,
+    here, by _parse_rows. The table is built once the vertex count has passed
+    its checks, and an edge whose two copies lie in different halves shows
+    as a bit that both halves' rows set.
     """
-    size = os.path.getsize(path)
+    split = data.find(b"\n", len(data) // 2) + 1
     if (
-        size < _SPLIT_MIN_CHARS
+        len(data) < _SPLIT_MIN_CHARS
+        or not 0 < split < len(data)
         or not hasattr(os, "fork")
         or threading.active_count() > 1
     ):
-        parts = [_parse_from(path, 0, n)]
+        parts = [_parse_rows(data, n)]
     else:
-        with open(path, "rb") as fh:
-            fh.seek(size // 2)
-            fh.readline()
-            split = fh.tell()
-            fh.seek(0)
-            head = fh.read(split)
-        parts = _parse_halves(path, n, head) if split < size else [_parse_rows(head, n)]
+        parts = _parse_halves(data, split, n)
     if None in parts:
         return None
     top = max(max(rows, default=-1) for rows in parts)
@@ -104,67 +97,55 @@ def _read_rows(path, n):
     return table
 
 
-def _parse_halves(path, n, head):
-    """[the rows of head, the rows of the file from byte len(head) on].
+def _parse_halves(data, split, n):
+    """[the rows of data[:split], the rows of data[split:]].
 
-    A forked child parses the rest of the file from its own file handle and
-    sends its rows back pickled through a pipe, while this process parses
-    head. If the fork fails, or the child dies without a result, this process
-    parses the rest itself. The child always leaves through os._exit, and is
-    reaped before this returns. If head has a fault, or this process fails,
-    the pipe is closed and the child killed first, so that a child blocked
-    on a full pipe cannot deadlock the wait.
+    A forked child parses data[split:], which it inherits, and sends its rows
+    back pickled through a pipe, while this process parses data[:split]. If
+    the fork fails, or the child dies without a result, this process parses
+    data[split:] itself. The pipe is closed and the child killed and reaped
+    before this returns: one that has sent its rows has nothing left to do,
+    and one blocked on a full pipe, because the first half has a fault or
+    this process failed, cannot deadlock the wait.
     """
-    split = len(head)
     r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         pid = None
     if pid == 0:
-        _send_rows(path, n, split, r, w)
+        _send_rows(data[split:], n, r, w)
     os.close(w)
-    data = None
     try:
         with open(r, "rb") as pipe:
-            first = _parse_rows(head, n)
+            first = _parse_rows(data[:split], n)
             if first is None:
                 return [None]
-            data = pipe.read()
+            sent = pipe.read()
     finally:
         if pid:
-            if data is None:
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     try:
-        second = pickle.loads(data)
+        second = pickle.loads(sent)
     except (EOFError, pickle.UnpicklingError):  # no child, or one cut short
-        second = _parse_from(path, split, n)
+        second = _parse_rows(data[split:], n)
     return [first, second]
 
 
-def _send_rows(path, n, split, r, w):
-    """In the forked child: write the pickled rows of the file from byte split on to w.
+def _send_rows(tail, n, r, w):
+    """In the forked child: write the pickled _parse_rows of tail to the pipe w.
 
     Never returns: the child leaves through os._exit whatever happens, so
     it runs none of the parent's cleanup, and exits 1 on any failure.
     """
-    code = 1
     try:
         os.close(r)
-        data = pickle.dumps(_parse_from(path, split, n))
         with open(w, "wb") as pipe:
-            pipe.write(data)
-        code = 0
+            pipe.write(pickle.dumps(_parse_rows(tail, n)))
+        os._exit(0)
     finally:
-        os._exit(code)
-
-
-def _parse_from(path, offset, n):
-    """The _parse_rows of an edge file from byte offset (a line start) on."""
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        return _parse_rows(fh.read(), n)
+        os._exit(1)
 
 
 def _parse_rows(data, n):
@@ -217,22 +198,22 @@ def _sight(ids, adj, token):
     return entry
 
 
-def _raise_first_fault(path, n):
-    """Raise the FormatError of an edge file that load_edge_list rejected.
+def _raise_first_fault(data, path, n):
+    """Raise the FormatError of data, the bytes of path that load_edge_list rejected.
 
-    Scans the file line by line, splitting and converting each line's bytes
-    as _parse_rows does. The first line fault in file order wins (a byte
+    Scans the lines, splitting and converting each line's bytes as
+    _parse_rows does. The first line fault in file order wins (a byte
     that is not ASCII, a malformed line, a non-integer or negative vertex, a
     loop, a repeated edge), then the first line with a vertex out of range
     for an explicit n, then an empty file without n, then a vertex count
     above _MAX_VERTICES.
-    A file with none of these faults is a bug in the caller. Only edge keys
+    Bytes with none of these faults are a bug in the caller. Only edge keys
     are kept: a repeat's first line is found by a second scan.
     """
     seen = set()
     top = -1
     far = None
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in _numbered_lines(data, path):
         parts = raw.split()
         if not parts:
             continue
@@ -257,7 +238,7 @@ def _raise_first_fault(path, n):
         # injective on pairs 0 <= lo < hi, the only pairs left here.
         key = hi * (hi - 1) // 2 + lo
         if key in seen:
-            first = _first_line_of(path, lo, hi)
+            first = _first_line_of(data, lo, hi)
             raise FormatError(
                 f"duplicate edge {u} {v} (first on line {first})",
                 path=path,
@@ -280,32 +261,38 @@ def _raise_first_fault(path, n):
     ensure(False, f"{path}: load_edge_list rejected an edge list with no fault")
 
 
-def _first_line_of(path, lo, hi):
-    """The first line of an edge file that holds the edge {lo, hi}, lo < hi."""
-    for lineno, raw in _numbered_lines(path):
+def _first_line_of(data, lo, hi):
+    """The first line of edge-file bytes that holds the edge {lo, hi}, lo < hi."""
+    for lineno, raw in enumerate(io.BytesIO(data), 1):
         if sorted(map(int, raw.split())) == [lo, hi]:
             return lineno
 
 
-def _numbered_lines(path):
-    """Each (line number from 1, line) of a file, as bytes split after each "\\n".
+def _numbered_lines(data, path):
+    """Each (line number from 1, line) of a file's bytes, split after each "\\n".
 
     Raises the FormatError of the first line that holds a byte which is not
-    ASCII, naming the file, the line and the byte. Lines are read in order,
+    ASCII, naming path, the line and the byte. Lines are yielded in order,
     so a fault on an earlier line still wins.
     """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.isascii():
-                byte = next(b for b in raw if b > 0x7F)
-                raise FormatError(f"byte {byte:#04x} is not ASCII", path=path, line=lineno)
-            yield lineno, raw
+    for lineno, raw in enumerate(io.BytesIO(data), 1):
+        if not raw.isascii():
+            byte = next(b for b in raw if b > 0x7F)
+            raise FormatError(f"byte {byte:#04x} is not ASCII", path=path, line=lineno)
+        yield lineno, raw
 
 
 def _quoted(token):
-    """The repr of an ASCII line or token for a message, cut after 60 characters."""
+    """The repr of an ASCII line or token for a message.
+
+    A text of more than 60 characters gives the repr of its longest prefix of
+    at most 60 whose repr has at most 80 characters, then "...".
+    """
     text = token.decode()
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
+    if len(text) <= 60:
+        return repr(text)
+    k = next(k for k in range(60, 0, -1) if len(repr(text[:k])) <= 80)
+    return f"{text[:k]!r}..."
 
 
 def dump_edge_list(g, path):
@@ -319,13 +306,15 @@ def load_partition(path):
 
     Class indices must be 0, 1, ... in file order. The ground size n is the
     total number of vertices listed, and the classes must partition 0..n-1
-    exactly. The file is read and split as an edge list is: a byte that is
-    not ASCII gets the FormatError of its line (_numbered_lines), and the
-    members are the bytes.split tokens after the colon.
+    exactly. The file is read once, and split as an edge list is: a byte
+    that is not ASCII gets the FormatError of its line (_numbered_lines), and
+    the members are the bytes.split tokens after the colon.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     member_lists = []
     first_line = {}
-    for lineno, raw in _numbered_lines(path):
+    for lineno, raw in _numbered_lines(data, path):
         text = raw.strip()
         if not text:
             continue

@@ -208,12 +208,10 @@ class TestEdgeList:
         [("0 1\n2 3\n", None), ("0 1\n", 4), ("", 3), ("\n\n", 1)],
     )
     def test_rescan_of_clean_file_is_a_bug(self, tmp_path, text, n):
-        # The rescan only names a fault load_edge_list found: on a clean file
-        # it neither returns nor makes up a FormatError.
-        path = tmp_path / "g.txt"
-        path.write_text(text)
+        # The rescan only names a fault load_edge_list found: on the bytes of
+        # a clean file it neither returns nor makes up a FormatError.
         with pytest.raises(AssertionError, match="no fault"):
-            regpart_io._raise_first_fault(path, n)
+            regpart_io._raise_first_fault(text.encode(), tmp_path / "g.txt", n)
 
     def test_no_vertices_is_not_a_file_fault(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -240,7 +238,8 @@ def reference_load_rows(path, n=None):
 
     Lines end at b"\\n" and their tokens are bytes.split's; a line with a
     byte that is not ASCII fails on the first such byte, and a message
-    quotes at most 60 characters of its line.
+    quotes a line of more than 60 characters as the longest prefix of at
+    most 60 whose repr has at most 80 characters, then "...".
     """
     edges = []
     seen = {}
@@ -254,7 +253,12 @@ def reference_load_rows(path, n=None):
             text = raw.strip().decode()
             if not text:
                 continue
-            quoted = repr(text[:60]) + "..." if len(text) > 60 else repr(text)
+            quoted = repr(text)
+            if len(text) > 60:
+                cut = text[:60]
+                while len(repr(cut)) > 80:
+                    cut = cut[:-1]
+                quoted = repr(cut) + "..."
             parts = raw.split()
             if len(parts) != 2:
                 raise FormatError(
@@ -679,6 +683,108 @@ class TestSplitEdgeList:
         assert not thread.is_alive()
 
 
+def edge_text(pairs):
+    return "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+PAIRS = [(u, v) for v in range(20) for u in range(v)]
+
+
+@pytest.fixture(params=[False, True], ids=["whole", "split"])
+def split(request, monkeypatch):
+    """Load each edge file whole, or in two halves, the second in a forked child."""
+    if request.param:
+        monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+    return request.param
+
+
+class TestEdgeListIsReadOnce:
+    """load_edge_list opens its path once, and every later step parses those bytes."""
+
+    def test_file_replaced_before_the_fork_loads_as_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(regpart_io, "_SPLIT_MIN_CHARS", 0)
+        path, other = tmp_path / "g.txt", tmp_path / "h.txt"
+        path.write_text(edge_text(PAIRS[:40]))
+        other.write_text(edge_text(PAIRS[1:40]))
+        fork = os.fork
+
+        def replace_then_fork():
+            os.replace(other, path)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", replace_then_fork)
+        assert load_edge_list(path).rows == Graph.from_edges(10, PAIRS[:40]).rows
+        assert not other.exists()
+        assert_no_child_left()
+
+    def test_faulty_file_replaced_after_the_parse_fails_on_its_line(
+        self, tmp_path, monkeypatch, split
+    ):
+        path, other = tmp_path / "g.txt", tmp_path / "h.txt"
+        path.write_text(edge_text(PAIRS) + "x y\n")
+        other.write_text(edge_text(PAIRS))
+        parent = os.getpid()
+        parse_rows = regpart_io._parse_rows
+
+        def parse_then_replace(data, n):
+            rows = parse_rows(data, n)
+            if os.getpid() == parent and other.exists():
+                os.replace(other, path)
+            return rows
+
+        monkeypatch.setattr(regpart_io, "_parse_rows", parse_then_replace)
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert not other.exists()
+        assert str(info.value) == (
+            f"{path}: line {len(PAIRS) + 1}: non-integer vertex in 'x y'"
+        )
+
+    def test_file_removed_once_opened_still_loads(self, tmp_path, monkeypatch, split):
+        def open_then_remove(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if not isinstance(file, int):  # a path, not the fork's pipe
+                os.remove(file)
+            return fh
+
+        monkeypatch.setattr(regpart_io, "open", open_then_remove, raising=False)
+        path = tmp_path / "g.txt"
+        path.write_text(edge_text(PAIRS))
+        assert load_edge_list(path).rows == Graph.from_edges(20, PAIRS).rows
+        assert not path.exists()
+        path.write_text(edge_text(PAIRS) + "0 1\n")
+        with pytest.raises(FormatError) as info:
+            load_edge_list(path)
+        assert str(info.value) == (
+            f"{path}: line {len(PAIRS) + 1}: duplicate edge 0 1 (first on line 1)"
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize(
+        "tail", ["", "x y\n", "1 0\n", "3 3\n", "0 25\n", "1 \xe9\n", "0 1 2"]
+    )
+    def test_pipe_loads_as_the_file_does(self, tmp_path, split, tail):
+        path = tmp_path / "g.txt"
+        data = (edge_text(PAIRS) + tail).encode()
+        # a small file, so that the pipe buffer takes it whole, with no writer
+        # left running
+        assert len(data) < 4096
+        path.write_bytes(data)
+        expected = load_outcome(lambda p, k: load_edge_list(p, k).rows, path, 24)
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            pipe = f"/dev/fd/{r}"
+            got = load_outcome(lambda p, k: load_edge_list(p, k).rows, pipe, 24)
+        finally:
+            os.close(r)
+        assert got == tuple(
+            x.replace(str(path), pipe) if isinstance(x, str) else x for x in expected
+        )
+        assert_no_child_left()
+
+
 class TestPartitionFile:
     def test_round_trip(self, tmp_path):
         p = Partition.from_sets([[0, 2], [1, 3, 4]], 5)
@@ -770,6 +876,35 @@ def test_message_quotes_at_most_60_characters(
         load(path)
     line = text.count("\n") + 1
     assert str(info.value) == f"g.txt: line {line}: {message}"
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "load, data, message",
+    [
+        (
+            load_edge_list,
+            b"\x1c" * 100_000,
+            "expected 'u v', got " + repr("\x1c" * 19) + "...",
+        ),
+        (
+            load_partition,
+            b"\x01" * 1000 + b": 0\n",
+            "non-integer class index " + repr("\x01" * 19) + "...",
+        ),
+    ],
+    ids=["edge list", "partition"],
+)
+def test_message_of_escaped_line_quotes_at_most_80_characters(
+    tmp_path, monkeypatch, load, data, message
+):
+    # each byte's repr is 4 characters ("\x1c"), so 19 of them fill 78 of 80
+    monkeypatch.chdir(tmp_path)
+    path = Path("g.txt")
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        load(path)
+    assert str(info.value) == f"g.txt: line 1: {message}"
     assert len(str(info.value)) < 200
 
 
