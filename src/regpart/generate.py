@@ -31,13 +31,8 @@ def gnp(n, p, seed):
     if n < 1:
         raise BadParamsError(f"n must be >= 1, got {n}")
     p = _probability(p, "p")
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if _bernoulli(rng, p):
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    # with one block every pair, in order, is one _bernoulli draw at p_in
+    return planted(1, n, p, p, seed)
 
 
 def planted(blocks, block_size, p_in, p_out, seed):

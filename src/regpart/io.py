@@ -21,11 +21,11 @@ from .errors import FormatError, ensure
 from .graph import Graph, Partition, VertexSet
 
 
-# The largest vertex count an edge list may give. No row and no table is
-# allocated until the vertex ids have passed the range check and this limit,
-# and each half of a split file checks its own ids before it builds any of
-# its rows: a hostile id (10**30, or one just past the limit) costs only its
-# neighbour-list entry before the file is rejected.
+# The largest vertex count an edge list may give. It caps the row count only:
+# rows are bitsets, so their memory and build time grow quadratically in n,
+# to about 70 GiB at this limit (extrapolated; README). No row or table is
+# allocated until the ids pass the range check and this limit, in each half of
+# a split file too: a hostile id (10**30) costs only a neighbour-list entry.
 _MAX_VERTICES = 1 << 20
 
 # An edge file of at least this many bytes is parsed in two halves, the
@@ -207,10 +207,9 @@ def _raise_first_fault(data, path, n):
     loop, a repeated edge), then the first line with a vertex out of range
     for an explicit n, then an empty file without n, then a vertex count
     above _MAX_VERTICES.
-    Bytes with none of these faults are a bug in the caller. Only edge keys
-    are kept: a repeat's first line is found by a second scan.
+    Bytes with none of these faults are a bug in the caller.
     """
-    seen = set()
+    seen = {}  # edge key -> its first line
     top = -1
     far = None
     for lineno, raw in _numbered_lines(data, path):
@@ -238,13 +237,12 @@ def _raise_first_fault(data, path, n):
         # injective on pairs 0 <= lo < hi, the only pairs left here.
         key = hi * (hi - 1) // 2 + lo
         if key in seen:
-            first = _first_line_of(data, lo, hi)
             raise FormatError(
-                f"duplicate edge {u} {v} (first on line {first})",
+                f"duplicate edge {u} {v} (first on line {seen[key]})",
                 path=path,
                 line=lineno,
             )
-        seen.add(key)
+        seen[key] = lineno
         top = max(top, hi)
         if far is None and n is not None and hi >= n:
             far = lineno
@@ -259,13 +257,6 @@ def _raise_first_fault(data, path, n):
     if n > _MAX_VERTICES:
         raise FormatError(f"vertex count {n} is too large", path=path)
     ensure(False, f"{path}: load_edge_list rejected an edge list with no fault")
-
-
-def _first_line_of(data, lo, hi):
-    """The first line of edge-file bytes that holds the edge {lo, hi}, lo < hi."""
-    for lineno, raw in enumerate(io.BytesIO(data), 1):
-        if sorted(map(int, raw.split())) == [lo, hi]:
-            return lineno
 
 
 def _numbered_lines(data, path):

@@ -97,40 +97,33 @@ def inner_product(a, b):
     )
 
 
+def _average_blocks(m, blocks):
+    """Matrix equal to the average of m over each block I x J listed, zero outside."""
+    zero = Fraction(0)
+    out = [[zero] * m.n for _ in range(m.n)]
+    for i, j in blocks:
+        total = sum((m.rows[u][v] for u in i.members() for v in j.members()), zero)
+        avg = total / (i.size * j.size)
+        for u in i.members():
+            for v in j.members():
+                out[u][v] = avg
+    return DenseMatrix(out)
+
+
 def project_block(m, i, j):
     """Matrix equal to the average of m over I x J on that block, zero outside."""
     if i.capacity != m.n or j.capacity != m.n:
         raise ValueError("vertex sets sized for a different matrix")
     if i.size == 0 or j.size == 0:
         raise EmptySetError("cannot project onto an empty block")
-    total = sum(
-        (m.rows[u][v] for u in i.members() for v in j.members()), Fraction(0)
-    )
-    avg = total / (i.size * j.size)
-    zero = Fraction(0)
-    out = [[zero] * m.n for _ in range(m.n)]
-    for u in i.members():
-        for v in j.members():
-            out[u][v] = avg
-    return DenseMatrix(out)
+    return _average_blocks(m, [(i, j)])
 
 
 def project_partition(m, p):
     """Replace every block I x J of m (ordered class pairs of p) by its average."""
     if p.ground_size != m.n:
         raise InvalidPartitionError("partition does not match the matrix")
-    out = [[Fraction(0)] * m.n for _ in range(m.n)]
-    for i in p:
-        for j in p:
-            total = sum(
-                (m.rows[u][v] for u in i.members() for v in j.members()),
-                Fraction(0),
-            )
-            avg = total / (i.size * j.size)
-            for u in i.members():
-                for v in j.members():
-                    out[u][v] = avg
-    return DenseMatrix(out)
+    return _average_blocks(m, [(i, j) for i in p for j in p])
 
 
 def brute_force_pair_check(g, i, j, eps):

@@ -26,7 +26,7 @@ unknown pair once, as (a, b) with a <= b.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, combinations
 from numbers import Rational
@@ -60,10 +60,6 @@ class PairWitness:
     d_xy: Fraction
     d_ij: Fraction
 
-    def mirrored(self):
-        """The same witness viewed from the transposed pair (J, I)."""
-        return PairWitness(x=self.y, y=self.x, d_xy=self.d_xy, d_ij=self.d_ij)
-
 
 @dataclass(frozen=True)
 class PairClassification:
@@ -73,11 +69,6 @@ class PairClassification:
     @property
     def is_irregular(self):
         return self.kind == IRREGULAR_WITNESSED
-
-    def mirrored(self):
-        if self.witness is None:
-            return self
-        return PairClassification(self.kind, self.witness.mirrored())
 
 
 _REGULAR = PairClassification(REGULAR_CERTIFIED)
@@ -391,8 +382,8 @@ class RegularityReport:
 
     flagged maps each witnessed or unknown pair (a, b), 0 <= a <= b < k, to its
     classification, and any other key raises InvalidWitnessError; every other
-    pair is certified regular, and (b, a) is the mirror of (a, b). The
-    partition is epsilon-regular when irregular_mass is at most
+    pair is certified regular, and (b, a) is (a, b) with its witness's x and y
+    swapped. The partition is epsilon-regular when irregular_mass is at most
     threshold = eps * n^2. The verdict is "regular" only when no pair was left
     unresolved by the heuristic tier.
     """
@@ -435,13 +426,15 @@ class RegularityReport:
     def classifications(self):
         """Fresh dict of all k*k ordered pairs, row-major; unflagged ones certified."""
         k = range(len(self.partition))
-        return {
-            (a, b): self.flagged.get((a, b), _REGULAR)
-            if a <= b
-            else self.flagged.get((b, a), _REGULAR).mirrored()
-            for a in k
-            for b in k
-        }
+        full = {}
+        for a in k:
+            for b in k:
+                clf = self.flagged.get((min(a, b), max(a, b)), _REGULAR)
+                w = clf.witness
+                if a > b and w is not None:
+                    clf = replace(clf, witness=replace(w, x=w.y, y=w.x))
+                full[(a, b)] = clf
+        return full
 
     def witnesses(self):
         """Witness map {(a, b): PairWitness}, a <= b, over irregular pairs."""

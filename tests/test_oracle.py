@@ -1,12 +1,15 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_partition, random_refinement
+import regpart
 from regpart import (
     EmptySetError,
     Graph,
@@ -248,3 +251,55 @@ class TestBruteForcePairCheck:
         g = Graph.empty(4)
         with pytest.raises(EmptySetError):
             brute_force_pair_check(g, VertexSet.empty(4), VertexSet.full(4), 1)
+
+
+PACKAGE = Path(regpart.__file__).parent
+
+
+def package_imports(name):
+    """Each (module, name) imported by regpart's module name, modules absolute.
+
+    A plain "import m" gives (m, None); "from . import m" gives ("regpart", m).
+    """
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: the package has no subpackages
+                module = f"regpart.{module}".rstrip(".")
+            found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+class TestIndependence:
+    """The oracle shares no logic with the fast path, and nothing in the main
+    modules may import from it."""
+
+    def test_no_main_module_imports_the_oracle(self):
+        for path in PACKAGE.glob("*.py"):
+            if path.stem == "oracle":
+                continue
+            assert not {
+                (module, name)
+                for module, name in package_imports(path.stem)
+                if module.startswith("regpart.oracle")
+                or (module == "regpart" and name == "oracle")
+            }, path.name
+
+    def test_oracle_imports_only_result_types_and_helpers(self):
+        allowed = {
+            "regpart.graph": {"VertexSet", "as_fraction", "require_epsilon"},
+            "regpart.regularity": {
+                "PairClassification",
+                "PairWitness",
+                "REGULAR_CERTIFIED",
+                "IRREGULAR_WITNESSED",
+                "UNKNOWN_TREATED_AS_REGULAR",
+            },
+        }
+        for module, name in package_imports("oracle"):
+            if module.startswith("regpart") and module != "regpart.errors":
+                assert name in allowed.get(module, ()), (module, name)
