@@ -9,6 +9,7 @@ Vertex sets are plain integer bitmasks (bit v = vertex v), which keeps the
 density kernel a handful of ``&`` / ``bit_count`` operations.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -60,10 +61,14 @@ def require_epsilon(eps):
     return value
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Immutable subset of {0..capacity-1}, backed by an int bitmask."""
 
-    __slots__ = ("mask", "capacity", "size", "_members")
+    mask: int
+    capacity: int
+    size: int = field(init=False, compare=False)
+    _members: tuple | None = field(init=False, compare=False)
 
     def __init__(self, mask, capacity):
         if capacity < 0:
@@ -74,9 +79,6 @@ class VertexSet:
         object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "size", mask.bit_count())
         object.__setattr__(self, "_members", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
 
     @classmethod
     def from_iterable(cls, vertices, capacity):
@@ -143,16 +145,6 @@ class VertexSet:
         if not isinstance(other, VertexSet) or other.capacity != self.capacity:
             raise ValueError("vertex sets have different capacities")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VertexSet)
-            and self.mask == other.mask
-            and self.capacity == other.capacity
-        )
-
-    def __hash__(self):
-        return hash((self.mask, self.capacity))
-
     def __repr__(self):
         return f"VertexSet({{{', '.join(map(str, self.members()))}}}, n={self.capacity})"
 
@@ -201,6 +193,7 @@ def _check_symmetric(rows):
                 raise BadParamsError(f"adjacency not symmetric at ({u}, {v})")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; adjacency as row bitmasks.
 
@@ -211,7 +204,9 @@ class Graph:
     for a graph without edges.
     """
 
-    __slots__ = ("n", "rows", "edge_count")
+    rows: tuple
+    n: int = field(init=False, compare=False)
+    edge_count: int = field(init=False, compare=False)
 
     def __init__(self, rows):
         rows = tuple(rows)
@@ -227,9 +222,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -274,6 +266,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Ordered list of disjoint nonempty vertex sets covering {0..n-1}.
 
@@ -281,13 +274,14 @@ class Partition:
     every downstream artifact (reports, refinements, files) is deterministic.
     """
 
-    __slots__ = ("classes", "ground_size")
+    classes: tuple
+    ground_size: int = field(init=False, compare=False)
 
     def __init__(self, classes):
         classes = tuple(classes)
         if not classes:
             raise InvalidPartitionError("partition needs at least one class")
-        cap = classes[0].capacity
+        cap = getattr(classes[0], "capacity", None)  # the loop rejects non-sets
         union = 0
         total = 0
         for c in classes:
@@ -304,9 +298,6 @@ class Partition:
         ordered = tuple(sorted(classes, key=lambda c: c.mask & -c.mask))
         object.__setattr__(self, "classes", ordered)
         object.__setattr__(self, "ground_size", cap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def single(cls, n):
@@ -343,12 +334,6 @@ class Partition:
             for v in big.members():
                 owner[v] = big
         return all(c.issubset(owner[c.min_member()]) for c in self.classes)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
 
     def __repr__(self):
         body = "; ".join(

@@ -7,6 +7,7 @@ explicitly projected matrix, and pair checks walk every submask pair in plain
 ascending-integer order, counting adjacent pairs one by one.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptySetError, InvalidPartitionError, TooLargeError
@@ -22,10 +23,12 @@ MAX_DENSE_N = 256
 MAX_BRUTE_SIDE = 12
 
 
+@dataclass(frozen=True, slots=True)
 class DenseMatrix:
     """Square matrix of Fractions, sized for brute-force work only."""
 
-    __slots__ = ("n", "rows")
+    rows: tuple
+    n: int = field(init=False, compare=False)
 
     def __init__(self, rows):
         n = len(rows)
@@ -41,9 +44,6 @@ class DenseMatrix:
             converted.append(row)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(converted))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def zeros(cls, n):
@@ -69,14 +69,6 @@ class DenseMatrix:
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"DenseMatrix(n={self.n})"

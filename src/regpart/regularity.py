@@ -261,17 +261,14 @@ def check_pair_exhaustive(g, i, j, eps):
         members_i = i.members()
         bits_i = [1 << u for u in members_i]
         packs = _packed_rows(cols, members_i)
-        sx = lo_x
-        x_mask = _first_violating_x(packs, bits_i, sx, total, lo_y, hi, lo, den)
+        x_mask = None
+        for size in range(lo_x, i.size):
+            found = _first_violating_x(packs, bits_i, size, total, lo_y, hi, lo, den)
+            if found is None:
+                break
+            sx, x_mask = size, found
         if x_mask is None:
             return _REGULAR
-        while sx + 1 < i.size:
-            wider = _first_violating_x(
-                packs, bits_i, sx + 1, total, lo_y, hi, lo, den
-            )
-            if wider is None:
-                break
-            sx, x_mask = sx + 1, wider
         counts = [(col & x_mask).bit_count() for col in cols]
         ranked = sorted(counts)
 

@@ -22,6 +22,7 @@ from regpart import (
 )
 from regpart import graph as regpart_graph
 from regpart.errors import BadEpsilonError
+from regpart.oracle import DenseMatrix
 
 
 class TestAsFraction:
@@ -100,9 +101,16 @@ class TestVertexSet:
             VertexSet.empty(8).min_member()
 
     def test_immutable(self):
-        s = VertexSet.full(4)
-        with pytest.raises(AttributeError):
-            s.mask = 0
+        fields_of = [
+            (VertexSet.full(4), ("mask", "capacity", "size", "_members")),
+            (Graph.complete(3), ("n", "rows", "edge_count")),
+            (Partition.single(4), ("classes", "ground_size")),
+            (DenseMatrix.zeros(2), ("n", "rows")),
+        ]
+        for value, names in fields_of:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(value, name))
 
     def test_members_built_once(self):
         s = VertexSet.from_iterable([7, 0, 3], 9)
@@ -304,6 +312,14 @@ class TestPartition:
     def test_rejects_empty_class(self):
         with pytest.raises(InvalidPartitionError):
             Partition([VertexSet.full(3), VertexSet.empty(3)])
+
+    @pytest.mark.parametrize(
+        "other", [12, None, frozenset({0, 1, 2})], ids=["int", "None", "frozenset"]
+    )
+    def test_rejects_a_class_that_is_not_a_vertex_set(self, other):
+        for classes in ([other], [VertexSet.full(3), other]):
+            with pytest.raises(InvalidPartitionError):
+                Partition(classes)
 
     def test_single_and_discrete(self):
         assert len(Partition.single(5)) == 1
