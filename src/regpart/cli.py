@@ -46,6 +46,11 @@ _REGULARIZE_EXIT = {
 }
 # any other verdict, or an unbalanced partition, exits 4
 _CHECK_EXIT = {VERDICT_REGULAR: 0, VERDICT_HEURISTICALLY_REGULAR: 2}
+# each gen model's generator and the options it takes, in call order
+_MODELS = {
+    "gnp": (gnp, ("n", "p")),
+    "planted": (planted, ("blocks", "block_size", "p_in", "p_out")),
+}
 
 
 def _log(message):
@@ -56,26 +61,14 @@ def _emit(payload):
     print(json.dumps(payload, indent=2))
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise BadParamsError(f"--{name} is required for this model")
-
-
 def cmd_gen(args):
-    if args.model == "gnp":
-        _require(args, ["n", "p"])
-        g = gnp(args.n, args.p, args.seed)
-        params = {"n": args.n, "p": args.p}
-    else:
-        _require(args, ["blocks", "block-size", "p-in", "p-out"])
-        g = planted(args.blocks, args.block_size, args.p_in, args.p_out, args.seed)
-        params = {
-            "blocks": args.blocks,
-            "block_size": args.block_size,
-            "p_in": args.p_in,
-            "p_out": args.p_out,
-        }
+    generator, names = _MODELS[args.model]
+    params = {name: getattr(args, name) for name in names}
+    for name, value in params.items():
+        if value is None:
+            flag = name.replace("_", "-")
+            raise BadParamsError(f"--{flag} is required for this model")
+    g = generator(*params.values(), args.seed)
     dump_edge_list(g, args.out)
     _log(f"wrote {args.out}: n={g.n}, {g.edge_count} edges")
     _emit(
@@ -155,7 +148,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded random edge list")
-    gen.add_argument("--model", required=True, choices=["gnp", "planted"])
+    gen.add_argument("--model", required=True, choices=list(_MODELS))
     gen.add_argument("--n", type=int, help="vertex count (gnp)")
     gen.add_argument("--p", help="edge probability (gnp), exact rational")
     gen.add_argument("--blocks", type=int, help="block count (planted)")

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BadParamsError, InvalidPartitionError, ensure
-from .graph import Partition, energy, require_epsilon
+from .errors import BadParamsError, ensure
+from .graph import Partition, energy, require_epsilon, require_partition
 from .refine import balance_refine, is_balanced, irregularity_refine
 from .regularity import VERDICT_IRREGULAR, check_partition
 
@@ -54,8 +54,9 @@ class RunTrace:
     steps: list = field(default_factory=list)
     final: Partition | None = None
     status: str | None = None
-    # Kept so callers can inspect or serialize the last classification
-    # without re-running it.
+    # The classification of final when one was made, kept so callers can
+    # inspect or serialize it without re-running it; None when the budget
+    # stopped the run before final was checked.
     final_report: object = None
 
     @property
@@ -105,8 +106,10 @@ def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
     p0 of None means the one-class partition. Stops with status regular or
     heuristically_regular once the current partition is balanced and its
     classification finds no irregular excess, or with class_budget_exceeded
-    when the next split would leave more than max_classes classes (the
-    oversized partition is discarded; final keeps the last good one).
+    when the partition would have more than max_classes classes: p0 itself,
+    a balance split or a refinement. The oversized partition is discarded, so
+    final is the last partition within the budget, and final_report is its
+    classification when one was made (None otherwise).
     A max_classes below 1, which no partition can meet, is a BadParamsError.
     """
     eps = require_epsilon(eps)
@@ -114,28 +117,17 @@ def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
         raise BadParamsError(f"max_classes must be at least 1, got {max_classes}")
     if p0 is None:
         p0 = Partition.single(g.n)
-    if p0.ground_size != g.n:
-        raise InvalidPartitionError("initial partition does not match the graph")
+    require_partition(g, p0)
 
-    trace = RunTrace()
+    trace = RunTrace(final=p0, status=STATUS_BUDGET)
     p = p0
-    n = g.n
-    report = None
-
-    if len(p) > max_classes:
-        trace.final = p
-        trace.status = STATUS_BUDGET
-        return trace
-
     e = None  # energy of p, evaluated once each time p changes
-    while True:
+    while len(p) <= max_classes:
+        trace.final, trace.final_report = p, None
         if not is_balanced(p, eps).balanced:
-            q = balance_refine(p, eps)
-            if len(q) > max_classes:
-                trace.status = STATUS_BUDGET
-                break
-            p, e = q, None
-        report = check_partition(g, p, eps)
+            p, e = balance_refine(p, eps), None
+            continue
+        report = trace.final_report = check_partition(g, p, eps)
         if e is None:
             e = energy(g, p)
         trace.steps.append(_trace_step(PHASE_BALANCE, p, e, report))
@@ -144,15 +136,11 @@ def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
             break
         q = irregularity_refine(g, p, eps, report.witnesses())
         if len(q) > max_classes:
-            trace.status = STATUS_BUDGET
             break
         p, e = q, energy(g, q)
         trace.steps.append(_trace_step(PHASE_REFINE, p, e, report))
-        report = None  # describes the pre-refine partition, now stale
 
-    trace.final = p
-    trace.final_report = report
-    verify_trace(trace, eps, n)
+    verify_trace(trace, eps, g.n)
     if trace.status != STATUS_BUDGET:
         ensure(is_balanced(p, eps).balanced, "final partition not balanced")
         result = balanced_irregularity_bound(report)
@@ -189,9 +177,8 @@ def tower_bound(eps, p0_size):
         if e > 2 * TOWER_DIGIT_CAP:
             # 4**e alone would have about 0.6 * e > TOWER_DIGIT_CAP digits.
             return TowerBound(value=None, astronomical=True)
+        # an x >= limit fails the next round's test, or the one below
         x = factor * x * 4**e
-        if x >= limit:
-            return TowerBound(value=None, astronomical=True)
     value = math.ceil(x)
     if value >= limit:
         return TowerBound(value=None, astronomical=True)

@@ -285,7 +285,11 @@ class Partition:
         union = 0
         total = 0
         for c in classes:
-            if not isinstance(c, VertexSet) or c.capacity != cap:
+            if not isinstance(c, VertexSet):
+                raise InvalidPartitionError(
+                    f"a class is a {type(c).__name__}, not a VertexSet"
+                )
+            if c.capacity != cap:
                 raise InvalidPartitionError("classes have mismatched capacities")
             if c.size == 0:
                 raise InvalidPartitionError("empty class")
@@ -350,6 +354,12 @@ def require_block(g, i, j):
         raise EmptySetError("a block needs nonempty sets on both sides")
 
 
+def require_partition(g, p):
+    """Raise unless p is a Partition of g's vertices."""
+    if not isinstance(p, Partition) or p.ground_size != g.n:
+        raise InvalidPartitionError("partition does not match the graph")
+
+
 def adjacent_pair_count(g, i, j):
     """Number of ordered pairs (u, v) in i x j with u adjacent to v."""
     require_block(g, i, j)
@@ -385,8 +395,7 @@ def energy(g, p):
     |I||J|: the integer e^2 values of a group are summed first, and each
     group adds one Fraction.
     """
-    if not isinstance(p, Partition) or p.ground_size != g.n:
-        raise InvalidPartitionError("partition does not match the graph")
+    require_partition(g, p)
     rows = g.rows
     blocks = [c for c in p.classes if c.size > 1]
     sizes = [c.size for c in blocks]

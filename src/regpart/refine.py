@@ -10,10 +10,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidPartitionError, InvalidWitnessError, NotSubsetError, ensure
+from .errors import InvalidWitnessError, NotSubsetError, ensure
 # energy is not called here; the name stays bound because bench/tests checks
 # that span tracing rebinds this module's copy.
-from .graph import Partition, VertexSet, energy, require_epsilon  # noqa: F401
+from .graph import (  # noqa: F401
+    Partition,
+    VertexSet,
+    energy,
+    require_epsilon,
+    require_partition,
+)
 from .regularity import validate_witness
 
 
@@ -151,8 +157,7 @@ def irregularity_refine(g, p, eps, witnesses):
     times a witnessed mass above eps*n**2.
     """
     eps = require_epsilon(eps)
-    if p.ground_size != g.n:
-        raise InvalidPartitionError("partition does not match the graph")
+    require_partition(g, p)
     k = len(p)
     per_class = [[] for _ in range(k)]
     for (a, b), w in sorted(witnesses.items()):

@@ -31,12 +31,14 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from numbers import Rational
 
-from .errors import (
-    InvalidPartitionError,
-    InvalidWitnessError,
-    TooLargeError,
+from .errors import InvalidWitnessError, TooLargeError
+from .graph import (
+    VertexSet,
+    adjacent_pair_count,
+    require_block,
+    require_epsilon,
+    require_partition,
 )
-from .graph import VertexSet, adjacent_pair_count, require_block, require_epsilon
 
 # The largest |I| + |J| that check_pair_exhaustive enumerates; classify_pair
 # routes every larger pair its sizes do not decide to the heuristic.
@@ -389,6 +391,8 @@ class RegularityReport:
     eps: Fraction
     flagged: dict
 
+    __hash__ = None  # flagged is a dict, so a generated hash could only raise
+
     def __post_init__(self):
         k = len(self.partition)
         for a, b in self.flagged:
@@ -450,8 +454,7 @@ def check_partition(g, p, eps):
     first error raised is the one a walk over every pair would raise.
     """
     eps = require_epsilon(eps)
-    if p.ground_size != g.n:
-        raise InvalidPartitionError("partition does not match the graph")
+    require_partition(g, p)
     sizes = {c.size for c in p}
     open_ = {(s, t) for s in sizes for t in sizes if _min_sizes(eps, s, t) is not None}
     # per class size s, ascending indices of the classes whose size pair is open

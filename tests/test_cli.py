@@ -45,6 +45,18 @@ class TestGen:
         assert code == 1
         assert "--p is required" in err
 
+    @pytest.mark.parametrize("missing", ["--blocks", "--block-size", "--p-in", "--p-out"])
+    def test_missing_planted_param(self, tmp_path, capsys, missing):
+        flags = {"--blocks": 2, "--block-size": 3, "--p-in": "1", "--p-out": "0"}
+        del flags[missing]
+        argv = [item for flag, value in flags.items() for item in (flag, value)]
+        code, _, err = run(
+            capsys, "gen", "--model", "planted", *argv, "--seed", 9, "--out", tmp_path / "g.txt"
+        )
+        assert code == 1
+        assert f"{missing} is required for this model" in err
+        assert not (tmp_path / "g.txt").exists()
+
     def test_bad_probability(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--model", "gnp", "--n", 4, "--p", "3/2", "--seed", 5, "--out", tmp_path / "g.txt")
         assert code == 1

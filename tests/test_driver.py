@@ -21,7 +21,11 @@ from regpart import (
     Partition,
     RegularityReport,
     TowerBound,
+    VertexSet,
     balanced_irregularity_bound,
+    check_partition,
+    energy,
+    irregularity_refine,
     is_balanced,
     regularize,
     tower_bound,
@@ -109,6 +113,9 @@ class TestRegularize:
         assert trace.final == p0
         assert [s.phase for s in trace.steps] == ["balance"]
         assert trace.steps[0].verdict == "irregular"
+        # the check that drove the dropped refinement is the check of final
+        assert trace.final_report.partition == trace.final
+        assert trace.final_report.verdict == "irregular"
 
     def test_budget_stop_discards_oversized_balance_split(self):
         # [3, 1, 1] is not balanced at eps 1/4, and its split has 5 classes
@@ -118,12 +125,23 @@ class TestRegularize:
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == p0
+        assert trace.final_report is None
+
+    def test_budget_stop_after_a_refine_keeps_no_stale_report(self):
+        # gnp(24, 1/2, seed 3) at eps 1/5: the one class is refined into 4
+        # unbalanced classes, whose balance split has 13
+        trace = regularize(gnp(24, "1/2", 3), None, Fraction(1, 5), max_classes=12)
+        assert trace.status == "class_budget_exceeded"
+        assert [s.phase for s in trace.steps] == ["balance", "refine"]
+        assert len(trace.final) == 4
+        assert trace.final_report is None
 
     def test_budget_too_small_for_initial(self):
         trace = regularize(Graph.empty(10), Partition.discrete(10), 1, max_classes=5)
         assert trace.status == "class_budget_exceeded"
         assert trace.steps == []
         assert trace.final == Partition.discrete(10)
+        assert trace.final_report is None
 
     @pytest.mark.parametrize("max_classes", [0, -3])
     def test_budget_below_one_is_a_bad_parameter(self, max_classes):
@@ -156,6 +174,26 @@ class TestRegularize:
         t2 = regularize(g, None, Fraction(1, 4))
         assert t1.steps == t2.steps
         assert t1.final == t2.final
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, p: energy(g, p),
+        lambda g, p: check_partition(g, p, Fraction(1, 4)),
+        lambda g, p: irregularity_refine(g, p, Fraction(1, 4), {}),
+        lambda g, p: regularize(g, p, Fraction(1, 4)),
+    ],
+    ids=["energy", "check_partition", "irregularity_refine", "regularize"],
+)
+@pytest.mark.parametrize(
+    "p",
+    [[VertexSet.full(4)], Partition.single(5)],
+    ids=["list of vertex sets", "partition of another size"],
+)
+def test_partition_must_match_the_graph(run, p):
+    with pytest.raises(InvalidPartitionError, match="partition does not match the graph"):
+        run(Graph.empty(4), p)
 
 
 class TestVerifyTrace:
@@ -260,6 +298,15 @@ class TestTowerBound:
         assert tower_bound(1, 1).astronomical
         monkeypatch.setattr(driver, "TOWER_DIGIT_CAP", 2)
         assert not tower_bound(1, 1).astronomical
+
+    @pytest.mark.parametrize("cap", [150, 180, 200])
+    def test_digit_cap_mid_run(self, monkeypatch, cap):
+        # eps 4/5 from one class: three rounds from 9/4, whose iterates are
+        # 324, then 729 * 4**324 (198 digits). At cap 150 the exponent 324 is
+        # already past 2 * cap; at 180 the 198-digit iterate is past the
+        # limit; at 200 it is not, but the next exponent is past 2 * cap.
+        monkeypatch.setattr(driver, "TOWER_DIGIT_CAP", cap)
+        assert tower_bound(Fraction(4, 5), 1) == TowerBound(None, astronomical=True)
 
     def test_monotone_in_start(self):
         assert tower_bound(1, 2).value > tower_bound(1, 1).value

@@ -318,8 +318,12 @@ class TestPartition:
     )
     def test_rejects_a_class_that_is_not_a_vertex_set(self, other):
         for classes in ([other], [VertexSet.full(3), other]):
-            with pytest.raises(InvalidPartitionError):
+            with pytest.raises(InvalidPartitionError, match="not a VertexSet"):
                 Partition(classes)
+
+    def test_rejects_classes_of_different_capacities(self):
+        with pytest.raises(InvalidPartitionError, match="mismatched capacities"):
+            Partition([VertexSet.full(3), VertexSet(1, 4)])
 
     def test_single_and_discrete(self):
         assert len(Partition.single(5)) == 1

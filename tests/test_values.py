@@ -4,6 +4,7 @@ Each test is a plain function of plain asserts and nothing is imported from
 pytest, so the tests can also be called on an interpreter without pytest.
 """
 
+import collections.abc
 import copy
 import pickle
 from fractions import Fraction
@@ -75,3 +76,9 @@ def test_graph_round_trip_keeps_rows_and_identity_equality():
         back = round_trip(g)
         assert (back.rows, back.n, back.edge_count) == (g.rows, 5, 3), how
         assert back != g and back == back, how
+
+
+def test_report_is_not_hashable():
+    g, p, eps = single_edge()
+    report = check_partition(g, p, eps)
+    assert not isinstance(report, collections.abc.Hashable)
