@@ -10,7 +10,6 @@ and a slow oracle re-derives the fast path's answers independently.
 from .driver import (
     CoreBoundResult,
     RunTrace,
-    TowerBound,
     TraceStep,
     balanced_irregularity_bound,
     regularize,
@@ -80,7 +79,6 @@ __all__ = [
     "RegularityReport",
     "RunTrace",
     "TooLargeError",
-    "TowerBound",
     "TraceStep",
     "VertexSet",
     "adjacent_pair_count",

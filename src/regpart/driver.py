@@ -26,7 +26,7 @@ PHASE_REFINE = "refine"
 
 DEFAULT_MAX_CLASSES = 4096
 
-# tower_bound reports values of more decimal digits than this as astronomical.
+# tower_bound returns None for a bound of more decimal digits than this.
 TOWER_DIGIT_CAP = 10000
 
 
@@ -148,22 +148,14 @@ def regularize(g, p0, eps, max_classes=DEFAULT_MAX_CLASSES):
     return trace
 
 
-@dataclass(frozen=True)
-class TowerBound:
-    """Upper bound for the final class count, or a marker that it is absurd."""
-
-    value: int | None
-    astronomical: bool
-
-
 def tower_bound(eps, p0_size):
     """Iterate x -> (1 + 1/eps) * x * 4**ceil(x), floor(eps**-5) times.
 
     Starts from (1 + 1/eps) * p0_size. The ceiling in the exponent makes each
     iterate an upper bound for the fractional-exponent expression, so the
     result is a valid conservative bound on the number of classes the
-    iteration can produce. Values beyond TOWER_DIGIT_CAP decimal digits come
-    back as astronomical instead of an integer.
+    iteration can produce. Returns the bound as an int, or None when it has
+    more than TOWER_DIGIT_CAP decimal digits.
     """
     eps = require_epsilon(eps)
     if p0_size < 1:
@@ -176,13 +168,11 @@ def tower_bound(eps, p0_size):
         e = math.ceil(x)
         if e > 2 * TOWER_DIGIT_CAP:
             # 4**e alone would have about 0.6 * e > TOWER_DIGIT_CAP digits.
-            return TowerBound(value=None, astronomical=True)
+            return None
         # an x >= limit fails the next round's test, or the one below
         x = factor * x * 4**e
     value = math.ceil(x)
-    if value >= limit:
-        return TowerBound(value=None, astronomical=True)
-    return TowerBound(value=value, astronomical=False)
+    return value if value < limit else None
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ class BadEpsilonError(RegPartError):
 
 
 class TooLargeError(RegPartError):
-    """Instance exceeds the configured size cap for an exhaustive procedure."""
+    """An input exceeds a fixed size limit: EXHAUSTIVE_CUTOFF, or an oracle cap."""
 
 
 class InvalidWitnessError(RegPartError):

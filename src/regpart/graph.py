@@ -227,10 +227,9 @@ class Graph:
     def from_edges(cls, n, edges):
         rows = [0] * n
         for u, v in edges:
+            # an id outside 0..n-1 would index or wrap rows; Graph() rejects loops
             if not (0 <= u < n and 0 <= v < n):
                 raise BadParamsError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise BadParamsError(f"loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(rows)

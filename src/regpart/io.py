@@ -21,12 +21,12 @@ from .errors import FormatError, ensure
 from .graph import Graph, Partition, VertexSet
 
 
-# The largest vertex count an edge list may give. It caps the row count only:
-# rows are bitsets, so their memory and build time grow quadratically in n,
-# to about 70 GiB at this limit (extrapolated; README). No row or table is
-# allocated until the ids pass the range check and this limit, in each half of
-# a split file too: a hostile id (10**30) costs only a neighbour-list entry.
-_MAX_VERTICES = 1 << 20
+# The largest vertex count an edge list may give. Rows are bitsets, and
+# Graph's symmetry check costs O(n^2) even without edges, so this limit bounds
+# both: 2-2.5 s for the check and at most 32 MiB of rows (README). No row or
+# table is allocated until the ids pass the range check and this limit, in each
+# half of a split file too: a hostile id (10**30) costs only a neighbour-list entry.
+_MAX_VERTICES = 1 << 14
 
 # An edge file of at least this many bytes is parsed in two halves, the
 # second in a forked child (_parse_halves). Below it the fork and the pickled
@@ -356,8 +356,7 @@ def load_partition(path):
         raise FormatError(
             f"vertices do not cover 0..{ground - 1} (largest is {top})", path=path
         )
-    classes = [VertexSet.from_iterable(m, ground) for m in member_lists]
-    return Partition(classes)
+    return Partition.from_sets(member_lists, ground)
 
 
 def dump_partition(p, path):

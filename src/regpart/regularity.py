@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from numbers import Rational
 
-from .errors import InvalidWitnessError, TooLargeError
+from .errors import InvalidWitnessError, TooLargeError, ensure
 from .graph import (
     VertexSet,
     adjacent_pair_count,
@@ -282,10 +282,7 @@ def check_pair_exhaustive(g, i, j, eps):
         if e_dense * den > hi_sx * sy or e_sparse * den < lo_sx * sy:
             break
     else:
-        # an explicit raise, not an assert, so that python -O keeps the check
-        raise AssertionError(
-            f"X of size {sx} violated at |Y| = {lo_y} but not on re-check"
-        )
+        ensure(False, f"X of size {sx} violated at |Y| = {lo_y} but not on re-check")
     # report the densest Y of size sy or the sparsest, whichever lies farther
     # from d(I,J), the densest on a tie: one of them violates, so that one
     # does. Members are ranked by count into X, then by index: a sort with

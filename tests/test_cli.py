@@ -62,6 +62,28 @@ class TestGen:
         assert code == 1
         assert "[0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gnp", "--n", 0, "--p", "1/2"], "n must be >= 1, got 0"),
+            (["gnp", "--n", 4, "--p", "abc"], "not an exact rational: 'abc'"),
+            (
+                ["planted", "--blocks", 0, "--block-size", 3, "--p-in", "1", "--p-out", "0"],
+                "blocks must be >= 1, got 0",
+            ),
+            (
+                ["planted", "--blocks", 2, "--block-size", 0, "--p-in", "1", "--p-out", "0"],
+                "block_size must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_bad_param(self, tmp_path, capsys, argv, message):
+        code, out, err = run(capsys, "gen", "--model", *argv, "--seed", 5, "--out", tmp_path / "g.txt")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "g.txt").exists()
+
 
 def write_single_edge(tmp_path):
     graph = tmp_path / "g.txt"
@@ -201,6 +223,8 @@ class TestRegularize:
             ("0 1\n", ["--n", "1000000000000000000000"]),
             ("0 1048576\n", []),
             ("", ["--n", "1048577"]),
+            # one past the 2^14 limit
+            ("0 16384\n", []),
         ],
     )
     def test_hostile_vertex_count(self, tmp_path, capsys, edges, extra):

@@ -50,6 +50,8 @@ class TestAsFraction:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             as_fraction("one half")
+        with pytest.raises(ValueError, match="^not an exact rational: None$"):
+            as_fraction(None)
 
     def test_require_epsilon(self):
         assert require_epsilon("2/5") == Fraction(2, 5)
@@ -94,6 +96,8 @@ class TestVertexSet:
             VertexSet.from_iterable([4], 4)
         with pytest.raises(ValueError):
             VertexSet(1 << 4, 4)
+        with pytest.raises(ValueError, match="^capacity must be >= 0$"):
+            VertexSet(0, -1)
 
     def test_min_member(self):
         assert VertexSet.from_iterable([6, 2], 8).min_member() == 2
@@ -158,9 +162,10 @@ class TestGraph:
         assert g.edge_count == 1
 
     def test_rejects_loops_and_range(self):
-        with pytest.raises(BadParamsError):
+        # the loop is rejected by the constructor, the one validation path
+        with pytest.raises(BadParamsError, match="^loop at vertex 1$"):
             Graph.from_edges(3, [(1, 1)])
-        with pytest.raises(BadParamsError):
+        with pytest.raises(BadParamsError, match=r"^edge \(0, 3\) outside 0..2$"):
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(BadParamsError):
             Graph.from_edges(0, [])

@@ -811,6 +811,22 @@ class TestPartitionFile:
         with pytest.raises(FormatError, match="cover"):
             load_partition(path)
 
+    def test_negative_vertex(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0: -1 0\n")
+        with pytest.raises(FormatError) as info:
+            load_partition(path)
+        assert str(info.value) == f"{path}: line 1: negative vertex -1"
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("\n0: 0 2\n \r\n1: 1 3 4\n\n")
+        assert load_partition(path) == Partition.from_sets([[0, 2], [1, 3, 4]], 5)
+        path.write_text("\n0: 0 1\n\n0: 2 3\n")
+        with pytest.raises(FormatError) as info:
+            load_partition(path)
+        assert info.value.line == 4
+
     def test_empty_class_line(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0: 0 1\n1:\n")

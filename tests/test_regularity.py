@@ -688,10 +688,14 @@ class TestHeuristic:
 
 class TestClassifyPair:
     def test_auto_dispatch(self):
-        g = Graph.empty(30)
-        i = VertexSet.from_iterable(range(14), 30)
-        j = VertexSet.from_iterable(range(14, 28), 30)
-        # 28 > 26: auto falls back to the heuristic tier
+        # 28 > 26: the pair goes to the heuristic tier, which leaves it
+        # unknown. The planned sound tiers leave it unknown too, at eps 1/4:
+        # the count test needs min(e, m - e) = 94 <= eps * lo_x * lo_y = 4,
+        # and the spectral bound needs sigma_max(R)^2 = 11.7 (numpy) <=
+        # eps^2 * lo_x * lo_y = 1.
+        g = gnp(28, Fraction(1, 2), seed=1)
+        i = VertexSet.from_iterable(range(14), 28)
+        j = VertexSet.from_iterable(range(14, 28), 28)
         clf = classify_pair(g, i, j, Fraction(1, 4))
         assert clf.kind == UNKNOWN_TREATED_AS_REGULAR
 
@@ -753,8 +757,13 @@ class TestCheckPartition:
         assert rep.witnesses() == {}
 
     def test_heuristic_verdict(self):
-        g = Graph.complete(30)
-        rep = check_partition(g, Partition.single(30), Fraction(1, 4))
+        # One class of 40 is past the cutoff, and the heuristic finds no
+        # witness. The planned sound tiers leave it unknown too, at eps 1/4:
+        # the count test needs min(e, m - e) = 772 <= eps * lo_x * lo_y =
+        # 30.25, and the spectral bound needs sigma_max(R)^2 = 35.1 (numpy)
+        # <= eps^2 * lo_x * lo_y = 7.6.
+        g = gnp(40, Fraction(1, 2), seed=1)
+        rep = check_partition(g, Partition.single(40), Fraction(1, 4))
         assert rep.verdict == VERDICT_HEURISTICALLY_REGULAR
         assert rep.has_unknown()
 
