@@ -19,8 +19,10 @@ a pair by one admission rule: when eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
 for any pair of singletons, no sub-pair but (I, J) itself qualifies, its gap is
 0, and the pair is certified at any size without reading the graph
 (check_partition makes this test once per pair of class sizes). Any other pair
-is exhausted when |I| + |J| <= EXHAUSTIVE_CUTOFF, else goes through a sound but
-incomplete heuristic, and an unresolved pair is reported as "unknown, treated
+is exhausted when |I| + |J| <= EXHAUSTIVE_CUTOFF. A larger one is certified
+when its edge count e(I,J), or its count of non-adjacent ordered pairs, is at
+most eps times the least qualifying mass, and otherwise goes through a sound
+but incomplete heuristic; an unresolved pair is reported as "unknown, treated
 as regular", never as certified. A partition's report stores each witnessed or
 unknown pair once, as (a, b) with a <= b.
 """
@@ -41,7 +43,8 @@ from .graph import (
 )
 
 # The largest |I| + |J| that check_pair_exhaustive enumerates; classify_pair
-# routes every larger pair its sizes do not decide to the heuristic.
+# routes every larger pair that neither its sizes nor its edge count decide
+# to the heuristic.
 EXHAUSTIVE_CUTOFF = 26
 
 REGULAR_CERTIFIED = "regular_certified"
@@ -129,6 +132,17 @@ def _min_sizes(eps, s, t):
     if lo_x > s or lo_y > t or (lo_x == s and lo_y == t):
         return None
     return lo_x, lo_y
+
+
+def _count_certifies(e, m, lo_x, lo_y, eps):
+    """True when e = e(I,J) alone proves a pair of mass m = |I||J| regular.
+
+    Every qualifying sub-pair has e(X,Y) <= e and |X||Y| >= lo_x lo_y, so
+    d(X,Y) and d(I,J) both lie in [0, e/(lo_x lo_y)], and their gap is at
+    most eps once e <= eps lo_x lo_y. The non-adjacent ordered pairs, m - e
+    of them, bound 1 - d the same way, which covers dense and diagonal pairs.
+    """
+    return min(e, m - e) * eps.denominator <= eps.numerator * lo_x * lo_y
 
 
 def _band(e_ij, m_ij, eps):
@@ -361,13 +375,18 @@ def classify_pair(g, i, j, eps):
     """Certify a pair its sizes decide, at any size; exhaust or search the rest.
 
     Within EXHAUSTIVE_CUTOFF the kernel makes the size test (_min_sizes)
-    itself; above it, the test is made here, before the heuristic.
+    itself; above it, the test is made here, then the count test
+    (_count_certifies) on e(I,J), and only then the heuristic.
     """
     if i.size + j.size <= EXHAUSTIVE_CUTOFF:
         return check_pair_exhaustive(g, i, j, eps)
     eps = require_epsilon(eps)
     require_block(g, i, j)
-    if _min_sizes(eps, i.size, j.size) is None:
+    sizes = _min_sizes(eps, i.size, j.size)
+    if sizes is None:
+        return _REGULAR
+    e_ij = adjacent_pair_count(g, i, j)
+    if _count_certifies(e_ij, i.size * j.size, *sizes, eps):
         return _REGULAR
     return find_witness_heuristic(g, i, j, eps)
 

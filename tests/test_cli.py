@@ -1,12 +1,16 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import regpart.graph
+from conftest import run_fresh
+from regpart import generate
 from regpart.cli import main
 
 
@@ -124,13 +128,18 @@ class TestRegularize:
         assert all(path.read_bytes() == paths[0].read_bytes() for path in paths)
 
     def test_budget_exit(self, tmp_path, capsys):
+        # the refinement into 4 classes is dropped, so p0 is written
         graph, part = write_single_edge(tmp_path)
+        out_file = tmp_path / "final.txt"
         code, out, _ = run(
             capsys, "regularize", "--graph", graph, "--partition", part,
-            "--epsilon", "2/5", "--max-classes", 3,
+            "--epsilon", "2/5", "--max-classes", 3, "--out", out_file,
         )
         assert code == 3
-        assert json.loads(out)["status"] == "class_budget_exceeded"
+        payload = json.loads(out)
+        assert payload["status"] == "class_budget_exceeded"
+        assert payload["steps"] == 1
+        assert out_file.read_bytes() == part.read_bytes()
 
     @pytest.mark.parametrize("max_classes", [0, -3])
     def test_budget_below_one_exits_one(self, tmp_path, capsys, max_classes):
@@ -144,16 +153,21 @@ class TestRegularize:
         assert "max_classes must be at least 1" in err
 
     def test_heuristic_exit(self, tmp_path, capsys):
-        graph = tmp_path / "g.txt"
+        planted, half = tmp_path / "planted.txt", tmp_path / "half.txt"
         code, _, _ = run(
             capsys, "gen", "--model", "planted", "--blocks", 2, "--block-size", 16,
-            "--p-in", "9/10", "--p-out", "1/10", "--seed", 42, "--out", graph,
+            "--p-in", "9/10", "--p-out", "1/10", "--seed", 42, "--out", planted,
         )
         assert code == 0
-        capsys.readouterr()
-        code, out, _ = run(capsys, "regularize", "--graph", graph, "--epsilon", "1/4")
-        assert code == 2
-        assert json.loads(out)["status"] == "heuristically_regular"
+        # the README's noisy half-graph (n=256, seed 1): its skewed 22+2
+        # pairs are enumerated from the 2-vertex side, so the run ends well
+        # within its 3 s bound
+        inputs = _bench_inputs()
+        inputs.write_file(half, inputs.edge_list_text(inputs.half_edges(256, 1)))
+        for graph in (planted, half):
+            code, out, _ = run_fresh("regularize", "--graph", graph, "--epsilon", "1/4", timeout=3)
+            assert code == 2
+            assert json.loads(out)["status"] == "heuristically_regular"
 
     @pytest.mark.parametrize("eps", ["1", "39/40"])
     def test_one_class_certified_by_size_near_eps_one(self, tmp_path, capsys, eps):
@@ -166,12 +180,17 @@ class TestRegularize:
         assert code == 0
         assert json.loads(out)["status"] == "regular"
 
-    def test_empty_graph_with_n(self, tmp_path, capsys):
+    def test_empty_graph_with_n(self, tmp_path):
+        # 8192 vertices run the symmetry check in 64 bands of 128 columns
+        # within 10 s, and the one class is certified by its count, e = 0
         graph = tmp_path / "g.txt"
         graph.write_text("")
-        code, out, _ = run(capsys, "regularize", "--graph", graph, "--n", 8, "--epsilon", "1/4")
-        assert code == 0
-        assert json.loads(out)["status"] == "regular"
+        for n in (8, 8192):
+            code, out, _ = run_fresh(
+                "regularize", "--graph", graph, "--n", n, "--epsilon", "1/4", timeout=10
+            )
+            assert code == 0
+            assert json.loads(out)["status"] == "regular"
 
     def test_empty_graph_without_n_fails(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -267,15 +286,25 @@ class TestCheck:
         assert body["core_irregularity"]["holds"] is True
 
     def test_complete_graph_halves(self, tmp_path, capsys):
-        graph = tmp_path / "g.txt"
-        code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", 8, "--p", "1", "--seed", 1, "--out", graph)
-        assert code == 0
-        capsys.readouterr()
-        part = tmp_path / "p.txt"
-        part.write_text("0: 0 1 2 3\n1: 4 5 6 7\n")
-        code, out, _ = run(capsys, "check", "--graph", graph, "--partition", part, "--epsilon", "1/2")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "regular"
+        # K8 as two halves is regular at eps 1/2. K26 as classes of 22 and 4
+        # at eps 1/4: the 22+4 pair is enumerated from its 4-vertex side,
+        # well within the 5 s bound. The 22+22 pair fails the count test, 22
+        # non-adjacent ordered pairs against eps * 6 * 6 = 9, and goes to the
+        # heuristic, so exit 2
+        cases = [
+            (8, [range(4), range(4, 8)], "1/2", 0, "regular"),
+            (26, [range(22), range(22, 26)], "1/4", 2, "heuristically_regular"),
+        ]
+        graph, part = tmp_path / "g.txt", tmp_path / "p.txt"
+        for n, classes, eps, exit_code, verdict in cases:
+            code, _, _ = run(capsys, "gen", "--model", "gnp", "--n", n, "--p", "1", "--seed", 1, "--out", graph)
+            assert code == 0
+            part.write_text("".join(f"{k}: {' '.join(map(str, c))}\n" for k, c in enumerate(classes)))
+            code, out, _ = run_fresh(
+                "check", "--graph", graph, "--partition", part, "--epsilon", eps, timeout=5
+            )
+            assert code == exit_code
+            assert json.loads(out)["verdict"] == verdict
 
     def test_empty_graph_any_partition(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -320,6 +349,34 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "blocks, size, unknown_at_half",
+        [(8, 32, 0), (4, 128, 0), (2, 256, 0), (16, 32, 1)],
+    )
+    def test_true_planted_blocks(self, tmp_path, capsys, blocks, size, unknown_at_half):
+        # planted(p_in 9/10, p_out 1/10, seed 1) with its vertices relabelled
+        # by random.Random(7), checked on its true blocks. At eps 1/2 the count
+        # test certifies every pair but one of 16x32, so three inputs are
+        # regular; at eps 1/3 it certifies none, and every pair stays unknown
+        n = blocks * size
+        label = list(range(n))
+        random.Random(7).shuffle(label)
+        g = generate.planted(blocks, size, "9/10", "1/10", seed=1)
+        graph, part = tmp_path / "g.txt", tmp_path / "p.txt"
+        graph.write_text("".join(f"{label[u]} {label[v]}\n" for u, v in g.edges()))
+        part.write_text("".join(
+            f"{b}: {' '.join(str(v) for v in sorted(label[b * size:(b + 1) * size]))}\n"
+            for b in range(blocks)
+        ))
+        pairs = blocks * (blocks + 1) // 2
+        for eps, unknown in (("1/2", unknown_at_half), ("1/3", pairs)):
+            code, out, _ = run(capsys, "check", "--graph", graph, "--partition", part, "--epsilon", eps)
+            body = json.loads(out)
+            kinds = [c["kind"] for c in body["classifications"] if c["pair"][0] <= c["pair"][1]]
+            assert kinds.count("unknown_treated_as_regular") == unknown
+            assert kinds.count("regular_certified") == pairs - unknown
+            assert (code, body["verdict"]) == ((2, "heuristically_regular") if unknown else (0, "regular"))
 
     def test_round_trip_consistency(self, tmp_path, capsys):
         graph, part = write_single_edge(tmp_path)
@@ -621,14 +678,21 @@ def test_golden_cli_output(tmp_path, capsys, case):
     assert code == 0
     trace_path = tmp_path / trace_name
     out_path = tmp_path / "o.txt"
-    code, got, _ = run(
-        capsys, "regularize", "--graph", graph, "--epsilon", "1/5",
+    argv = (
+        "regularize", "--graph", graph, "--epsilon", "1/5",
         "--trace", trace_path, "--out", out_path,
     )
-    assert code == exit_code
-    assert got == stdout
-    assert trace_path.read_bytes() == trace.encode()
-    assert out_path.read_bytes() == out.encode()
+    # then the same run in a new interpreter at the other optimization level:
+    # the runtime checks are explicit raises, so python -O writes the same bytes
+    other_level = () if sys.flags.optimize else ("-O",)
+    for runner in (partial(run, capsys), partial(run_fresh, timeout=60, flags=other_level)):
+        trace_path.unlink(missing_ok=True)
+        out_path.unlink(missing_ok=True)
+        code, got, _ = runner(*argv)
+        assert code == exit_code
+        assert got == stdout
+        assert trace_path.read_bytes() == trace.encode()
+        assert out_path.read_bytes() == out.encode()
 
 
 def _witnessed(a, b, x, y, d_xy, d_ij):

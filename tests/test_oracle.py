@@ -5,10 +5,17 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_partition, random_refinement
+from conftest import (
+    COUNT_EPS,
+    count_test_holds,
+    pairs_at_density,
+    random_graph,
+    random_partition,
+    random_refinement,
+)
 import regpart
 from regpart import (
     EmptySetError,
@@ -221,6 +228,13 @@ class TestBruteForcePairCheck:
         for clf in (fast, slow):
             if clf.witness is not None:
                 validate_witness(g, i, j, eps, clf.witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs_at_density(max_n=14, max_side=MAX_BRUTE_SIDE), st.sampled_from(COUNT_EPS))
+    def test_count_certificate_is_regular(self, pair, eps):
+        g, i, j = pair
+        assume(count_test_holds(g, i, j, eps))
+        assert brute_force_pair_check(g, i, j, eps).kind == "regular_certified"
 
     def test_single_edge_agrees(self):
         g = Graph.from_edges(4, [(0, 2)])

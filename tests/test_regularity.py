@@ -7,10 +7,16 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_partition
+from conftest import (
+    COUNT_EPS,
+    count_test_holds,
+    pairs_at_density,
+    random_graph,
+    random_partition,
+)
 from regpart import (
     EmptySetError,
     Graph,
@@ -35,12 +41,14 @@ from regpart import (
 from regpart.generate import gnp
 from regpart.io import plain
 from regpart.regularity import (
+    EXHAUSTIVE_CUTOFF,
     IRREGULAR_WITNESSED,
     REGULAR_CERTIFIED,
     UNKNOWN_TREATED_AS_REGULAR,
     VERDICT_HEURISTICALLY_REGULAR,
     VERDICT_IRREGULAR,
     VERDICT_REGULAR,
+    _count_certifies,
 )
 
 
@@ -688,11 +696,11 @@ class TestHeuristic:
 
 class TestClassifyPair:
     def test_auto_dispatch(self):
-        # 28 > 26: the pair goes to the heuristic tier, which leaves it
-        # unknown. The planned sound tiers leave it unknown too, at eps 1/4:
-        # the count test needs min(e, m - e) = 94 <= eps * lo_x * lo_y = 4,
-        # and the spectral bound needs sigma_max(R)^2 = 11.7 (numpy) <=
-        # eps^2 * lo_x * lo_y = 1.
+        # 28 > 26: past the cutoff, at eps 1/4 the count test needs
+        # min(e, m - e) = 94 <= eps * lo_x * lo_y = 4 and fails, so the pair
+        # goes to the heuristic tier, which leaves it unknown. The planned
+        # spectral bound leaves it unknown too: it needs sigma_max(R)^2 =
+        # 11.7 (numpy) <= eps^2 * lo_x * lo_y = 1.
         g = gnp(28, Fraction(1, 2), seed=1)
         i = VertexSet.from_iterable(range(14), 28)
         j = VertexSet.from_iterable(range(14, 28), 28)
@@ -722,6 +730,39 @@ class TestClassifyPair:
         j = VertexSet.from_iterable(range(20, 40), 40)
         with pytest.raises(ValueError, match="sized for a different graph"):
             classify_pair(g, i, j, eps)
+
+
+def first_edges(e, s, t):
+    """I = {0..s-1}, J = the next t vertices, and the first e pairs of I x J as edges."""
+    n = s + t
+    pairs = [(u, v) for u in range(s) for v in range(s, n)]
+    g = Graph.from_edges(n, pairs[:e])
+    return g, VertexSet.from_iterable(range(s), n), VertexSet.from_iterable(range(s, n), n)
+
+
+class TestCountCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_at_density(max_n=24, max_side=23), st.sampled_from(COUNT_EPS))
+    def test_implies_exhaustive_certificate(self, pair, eps):
+        g, i, j = pair
+        assert i.size + j.size <= EXHAUSTIVE_CUTOFF
+        assume(count_test_holds(g, i, j, eps))
+        assert check_pair_exhaustive(g, i, j, eps).kind == REGULAR_CERTIFIED
+
+    def test_boundary_is_certified(self):
+        half = Fraction(1, 2)
+        # 14+14, past the cutoff: lo_x = lo_y = 8, so eps * lo_x * lo_y = 32,
+        # met by 32 adjacent or 32 non-adjacent of the 196 ordered pairs
+        for e, certified in ((32, True), (33, False), (163, False), (164, True)):
+            g, i, j = first_edges(e, 14, 14)
+            assert _count_certifies(e, 196, 8, 8, half) is certified
+            kind = classify_pair(g, i, j, half).kind
+            assert (kind == REGULAR_CERTIFIED) is certified
+        # 12+14, within the cutoff: 28 = eps * 7 * 8 edges, and the kernel
+        # certifies the pair on its own
+        g, i, j = first_edges(28, 12, 14)
+        assert count_test_holds(g, i, j, half)
+        assert check_pair_exhaustive(g, i, j, half).kind == REGULAR_CERTIFIED
 
 
 class TestCheckPartition:
@@ -757,11 +798,11 @@ class TestCheckPartition:
         assert rep.witnesses() == {}
 
     def test_heuristic_verdict(self):
-        # One class of 40 is past the cutoff, and the heuristic finds no
-        # witness. The planned sound tiers leave it unknown too, at eps 1/4:
-        # the count test needs min(e, m - e) = 772 <= eps * lo_x * lo_y =
-        # 30.25, and the spectral bound needs sigma_max(R)^2 = 35.1 (numpy)
-        # <= eps^2 * lo_x * lo_y = 7.6.
+        # One class of 40 is past the cutoff. At eps 1/4 the count test
+        # needs min(e, m - e) = 772 <= eps * lo_x * lo_y = 30.25 and fails,
+        # and the heuristic finds no witness. The planned spectral bound
+        # leaves it unknown too: it needs sigma_max(R)^2 = 35.1 (numpy) <=
+        # eps^2 * lo_x * lo_y = 7.6.
         g = gnp(40, Fraction(1, 2), seed=1)
         rep = check_partition(g, Partition.single(40), Fraction(1, 4))
         assert rep.verdict == VERDICT_HEURISTICALLY_REGULAR
