@@ -246,9 +246,6 @@ class Graph:
     def has_edge(self, u, v):
         return 0 <= u < self.n and 0 <= v < self.n and (self.rows[u] >> v) & 1 == 1
 
-    def degree(self, u):
-        return self.rows[u].bit_count()
-
     def edges(self):
         """Unordered edges (u, v) with u < v, ascending."""
         for u in range(self.n):

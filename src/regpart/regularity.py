@@ -9,22 +9,24 @@ per-vertex counts into Y, so it never rises as s grows, and the smallest never
 falls; the same holds with X and Y swapped. A violation at any sizes therefore
 implies one at the minimum sizes, and checking those alone is a complete proof
 of regularity. Since d(X, Y) = d(Y, X), the exhaustive kernel enumerates the
-smaller side, I on a tie. Its witness takes the first violating sub-pair of
-that side met by size descending, lexicographic within a size, and for it the
-set of the other side farthest from d(I,J) among those of the largest
-violating size. The witness is built once, already oriented: found from J's
-side, its two sets are swapped back, so X stays in I and Y in J, and a side
-that spans its whole class is that class's own VertexSet. classify_pair routes
-a pair by one admission rule: when eps|I| >= |I| - 1 and eps|J| >= |J| - 1, as
-for any pair of singletons, no sub-pair but (I, J) itself qualifies, its gap is
-0, and the pair is certified at any size without reading the graph
-(check_partition makes this test once per pair of class sizes). Any other pair
-is exhausted when |I| + |J| <= EXHAUSTIVE_CUTOFF. A larger one is certified
-when its edge count e(I,J), or its count of non-adjacent ordered pairs, is at
-most eps times the least qualifying mass, and otherwise goes through a sound
-but incomplete heuristic; an unresolved pair is reported as "unknown, treated
-as regular", never as certified. A partition's report stores each witnessed or
-unknown pair once, as (a, b) with a <= b.
+smaller side, I on a tie. Its witness takes the first violating X of that side
+met by size descending, lexicographic within a size. For a fixed X, both tiers
+take Y by one rule: the set of the other side farthest from d(I,J) among those
+of the largest violating size. The witness is built once, already oriented:
+found from J's side, its two sets are swapped back, so X stays in I and Y in
+J, and a side that spans its whole class is that class's own VertexSet.
+classify_pair routes a pair by one admission rule: when eps|I| >= |I| - 1 and
+eps|J| >= |J| - 1, as for any pair of singletons, no sub-pair but (I, J)
+itself qualifies, its gap is 0, and the pair is certified at any size without
+reading the graph (check_partition makes this test once per pair of class
+sizes). Any other pair is exhausted when |I| + |J| <= EXHAUSTIVE_CUTOFF. A
+larger one is certified when its edge count e(I,J), or its count of
+non-adjacent ordered pairs, is at most eps times the least qualifying mass,
+and otherwise goes through a sound but incomplete heuristic, which tries as X
+the vertices of I whose degree into J deviates and takes Y by the kernel's
+rule; an unresolved pair is reported as "unknown, treated as regular", never
+as certified. A partition's report stores each witnessed or unknown pair once,
+as (a, b) with a <= b.
 """
 
 from bisect import bisect_left
@@ -197,6 +199,54 @@ def _first_violating_x(packs, bits, sx, width, lo_y, hi, lo, den):
     return None
 
 
+def _widest_violation(g, i, j, x_mask, counts, e_ij, lo_y, eps, swap=False):
+    """The witness of X = x_mask with the widest violating Y, or None if none.
+
+    counts[t] is the count of the t-th member of J into X, and e_ij the edge
+    count of (I, J). For this X, the densest Y of a size are the members of J
+    with the most edges into X, and the sparsest those with the fewest, so
+    by monotonicity the sizes of at least lo_y at which some Y violates form
+    one range from lo_y, read from the prefix sums of the sorted counts. Y
+    has the largest such size sy and is the one of that size farthest from
+    d(I,J): the densest, or the sparsest when it lies strictly farther,
+    ranked by count and then by index. X = I and Y = J are the classes
+    themselves, and with swap the witness's two sets are exchanged. No
+    Fraction is formed until a witness is returned.
+    """
+    sx, m_ij = x_mask.bit_count(), i.size * j.size
+    hi, lo, den = _band(e_ij, m_ij, eps)
+    prefix = list(accumulate(sorted(counts), initial=0))
+    total = len(counts)
+    e_x = prefix[total]
+    hi_sx, lo_sx = hi * sx, lo * sx
+    for sy in range(total, lo_y - 1, -1):
+        e_dense, e_sparse = e_x - prefix[total - sy], prefix[sy]
+        if e_dense * den > hi_sx * sy or e_sparse * den < lo_sx * sy:
+            break
+    else:
+        return None
+    # one of the densest and the sparsest Y violates, so the farther one does;
+    # a sort with reverse=True is still stable, so ties keep ascending index
+    scaled_ij = e_ij * sx * sy
+    dense = abs(e_dense * m_ij - scaled_ij) >= abs(e_sparse * m_ij - scaled_ij)
+    x = i if sx == i.size else VertexSet(x_mask, g.n)
+    if sy == total:
+        y = j
+    else:
+        members_j = j.members()
+        pick = sorted(range(total), key=counts.__getitem__, reverse=dense)[:sy]
+        y = VertexSet(sum(1 << members_j[t] for t in pick), g.n)
+    if swap:
+        x, y = y, x
+    witness = PairWitness(
+        x=x,
+        y=y,
+        d_xy=Fraction(e_dense if dense else e_sparse, sx * sy),
+        d_ij=Fraction(e_ij, m_ij),
+    )
+    return PairClassification(IRREGULAR_WITNESSED, witness)
+
+
 def check_pair_exhaustive(g, i, j, eps):
     """Decide pair regularity by subset enumeration at the minimum sizes, in integers.
 
@@ -221,24 +271,20 @@ def check_pair_exhaustive(g, i, j, eps):
     e den < lo |X||Y|.
 
     The search tests X = I first, from the per-vertex counts that also give
-    e_ij; if it violates, s* = |I| and those counts rank Y. If it does not
-    and lo_x = |I|, no other X qualifies and the pair is RegularCertified.
-    Otherwise it packs each member u of I, once, into one int with one byte
-    per member of J, 1 where u is adjacent to it, so that the bytes of the
-    sum of X's packs are the per-vertex counts into X (_packed_rows,
-    _first_violating_x). A scanned X has at most |I| - 1 <
-    EXHAUSTIVE_CUTOFF // 2 members, so no count reaches 256 and none carries
-    into the next byte. It scans size lo_x in lexicographic order, and if no
-    X there violates, the pair is RegularCertified. Else it climbs one size
-    at a time, keeps each size's first violating X and stops at the first
-    size with none. The witness's X is the first one a walk over X by size
-    descending, lexicographic within a size, meets: the first violating X
-    of size s*. Its Y has the largest size sy with a violation for that X,
-    and is the one of that size farthest from d(I,J): the sy members of J
-    with the most edges into X, or the sy with the fewest when those lie
-    strictly farther, ranked by count and then by index. X = I and Y = J are
-    the given classes themselves. No Fraction is formed until a witness is
-    returned, and d_xy's numerator is the prefix sum of the chosen side.
+    e_ij; if some Y violates, s* = |I|. If none does and lo_x = |I|, no
+    other X qualifies and the pair is RegularCertified. Otherwise it packs
+    each member u of I, once, into one int with one byte per member of J, 1
+    where u is adjacent to it, so that the bytes of the sum of X's packs are
+    the per-vertex counts into X (_packed_rows, _first_violating_x). A
+    scanned X has at most |I| - 1 < EXHAUSTIVE_CUTOFF // 2 members, so no
+    count reaches 256 and none carries into the next byte. It scans size
+    lo_x in lexicographic order, and if no X there violates, the pair is
+    RegularCertified. Else it climbs one size at a time, keeps each size's
+    first violating X and stops at the first size with none. The witness's
+    X is the first one a walk over X by size descending, lexicographic
+    within a size, meets: the first violating X of size s*. Both tests of an
+    X and its witness's Y go through one rule, _widest_violation, which the
+    heuristic tier shares.
     Two spaces are exhausted before any edge is counted: an empty one, and
     the one-candidate space in which eps|I| < |X| forces X = I and
     eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
@@ -263,111 +309,63 @@ def check_pair_exhaustive(g, i, j, eps):
     members_j = j.members()
     cols = [g.rows[v] & i.mask for v in members_j]
     counts = [col.bit_count() for col in cols]  # into X = I
-    ranked = sorted(counts)
-    total, cut = len(cols), len(cols) - lo_y
-    e_ij = sum(ranked)  # the graph is symmetric
-    m_ij = i.size * j.size
-    hi, lo, den = _band(e_ij, m_ij, eps)
-
-    sx = i.size
-    top, bottom = hi * sx * lo_y, lo * sx * lo_y
-    if sum(ranked[cut:]) * den <= top and sum(ranked[:lo_y]) * den >= bottom:
-        if lo_x == sx:
-            return _REGULAR
-        members_i = i.members()
-        bits_i = [1 << u for u in members_i]
-        packs = _packed_rows(cols, members_i)
-        x_mask = None
-        for size in range(lo_x, i.size):
-            found = _first_violating_x(packs, bits_i, size, total, lo_y, hi, lo, den)
-            if found is None:
-                break
-            sx, x_mask = size, found
-        if x_mask is None:
-            return _REGULAR
-        counts = [(col & x_mask).bit_count() for col in cols]
-        ranked = sorted(counts)
-
-    prefix = list(accumulate(ranked, initial=0))
-    e_x = prefix[total]
-    hi_sx, lo_sx = hi * sx, lo * sx
-    for sy in range(j.size, lo_y - 1, -1):
-        e_dense, e_sparse = e_x - prefix[total - sy], prefix[sy]
-        if e_dense * den > hi_sx * sy or e_sparse * den < lo_sx * sy:
+    e_ij = sum(counts)  # the graph is symmetric
+    clf = _widest_violation(g, i, j, i.mask, counts, e_ij, lo_y, eps, swap)
+    if clf is not None:
+        return clf
+    if lo_x == i.size:
+        return _REGULAR
+    hi, lo, den = _band(e_ij, i.size * j.size, eps)
+    members_i = i.members()
+    bits_i = [1 << u for u in members_i]
+    packs = _packed_rows(cols, members_i)
+    x_mask = None
+    for size in range(lo_x, i.size):
+        found = _first_violating_x(packs, bits_i, size, len(cols), lo_y, hi, lo, den)
+        if found is None:
             break
-    else:
-        ensure(False, f"X of size {sx} violated at |Y| = {lo_y} but not on re-check")
-    # report the densest Y of size sy or the sparsest, whichever lies farther
-    # from d(I,J), the densest on a tie: one of them violates, so that one
-    # does. Members are ranked by count into X, then by index: a sort with
-    # reverse=True is still stable, so ties keep ascending index order.
-    scaled_ij = e_ij * sx * sy
-    dense = abs(e_dense * m_ij - scaled_ij) >= abs(e_sparse * m_ij - scaled_ij)
-    x = i if sx == i.size else VertexSet(x_mask, g.n)
-    if sy == j.size:
-        y = j
-    else:
-        pick = sorted(range(total), key=counts.__getitem__, reverse=dense)[:sy]
-        y = VertexSet(sum(1 << members_j[idx] for idx in pick), g.n)
-    if swap:
-        x, y = y, x
-    witness = PairWitness(
-        x=x,
-        y=y,
-        d_xy=Fraction(e_dense if dense else e_sparse, sx * sy),
-        d_ij=Fraction(e_ij, m_ij),
+        sx, x_mask = size, found
+    if x_mask is None:
+        return _REGULAR
+    counts = [(col & x_mask).bit_count() for col in cols]
+    clf = _widest_violation(g, i, j, x_mask, counts, e_ij, lo_y, eps, swap)
+    ensure(
+        clf is not None, f"X of size {sx} violated at |Y| = {lo_y} but not on re-check"
     )
-    return PairClassification(IRREGULAR_WITNESSED, witness)
+    return clf
 
 
 def find_witness_heuristic(g, i, j, eps):
-    """Look for a witness by degree deviation; sound but incomplete.
+    """Look for a witness among the vertices of deviating degree; sound but incomplete.
 
     Counts each vertex of i into j once (the counts sum to e(I, J)) and keeps
-    those deviating from d(I,J) by more than eps/2 (high side X+, low side X-).
-    Each X is paired with the matching deviation subset of j, then with j
-    itself, from one count per vertex of j into X, and the first candidate
-    that survives exact witness validation is returned. With no validated
-    candidate the pair is UnknownTreatedAsRegular: this tier never certifies.
+    those deviating from d(I,J) by more than eps/2: the high side X+, then
+    the low side X-. An X with more than eps|I| members gets one count per
+    vertex of j into it, from which the kernel's rule (_widest_violation),
+    complete for a fixed X, builds the witness with the widest violating Y.
+    With neither X witnessed the pair is UnknownTreatedAsRegular: this tier
+    never certifies.
     """
     eps = require_epsilon(eps)
     require_block(g, i, j)
-    rows, jm = g.rows, j.mask
-    counts = {u: (rows[u] & jm).bit_count() for u in i.members()}
+    sizes = _min_sizes(eps, i.size, j.size)
+    if sizes is None:
+        return _UNKNOWN
+    lo_x, lo_y = sizes
+    rows, members_j = g.rows, j.members()
+    counts = {u: (rows[u] & j.mask).bit_count() for u in i.members()}
     e_ij = sum(counts.values())
-    m_ij = i.size * j.size
-    d_ij = Fraction(e_ij, m_ij)
-    hi, lo, den = _band(e_ij, m_ij, eps / 2)
-
+    hi, lo, den = _band(e_ij, i.size * j.size, eps / 2)
     # count/size > hi/den, cross-multiplied: exact, and no Fraction per vertex
-    x_hi = x_lo = 0
     hi_j, lo_j = hi * j.size, lo * j.size
-    for u, c_u in counts.items():
-        if c_u * den > hi_j:
-            x_hi |= 1 << u
-        elif c_u * den < lo_j:
-            x_lo |= 1 << u
-
-    for x_mask, keep_high in ((x_hi, True), (x_lo, False)):
-        if not x_mask:
-            continue
-        x = VertexSet(x_mask, g.n)
-        hi_x, lo_x = hi * x.size, lo * x.size
-        co = e_co = e_xj = 0
-        for v in j.members():
-            c_v = (rows[v] & x_mask).bit_count()
-            e_xj += c_v
-            if (c_v * den > hi_x) if keep_high else (c_v * den < lo_x):
-                co |= 1 << v
-                e_co += c_v
-        ys = [(VertexSet(co, g.n), e_co)] if co else []
-        for y, e_xy in ys + [(j, e_xj)]:
-            witness = PairWitness(x, y, Fraction(e_xy, x.size * y.size), d_ij)
-            try:
-                validate_witness(g, i, j, eps, witness)
-            except InvalidWitnessError:
-                continue
-            return PairClassification(IRREGULAR_WITNESSED, witness)
+    x_hi = sum(1 << u for u, c_u in counts.items() if c_u * den > hi_j)
+    x_lo = sum(1 << u for u, c_u in counts.items() if c_u * den < lo_j)
+    for x_mask in (x_hi, x_lo):
+        if x_mask.bit_count() >= lo_x:
+            counts_x = [(rows[v] & x_mask).bit_count() for v in members_j]
+            clf = _widest_violation(g, i, j, x_mask, counts_x, e_ij, lo_y, eps)
+            if clf is not None:
+                return clf
     return _UNKNOWN
 
 

@@ -127,12 +127,12 @@ class TestRegularize:
         assert trace.final_report is None
 
     def test_budget_stop_after_a_refine_keeps_no_stale_report(self):
-        # gnp(24, 1/2, seed 3) at eps 1/5: the one class is refined into 4
-        # unbalanced classes, whose balance split has 13
-        trace = regularize(gnp(24, "1/2", 3), None, Fraction(1, 5), max_classes=12)
+        # gnp(24, 1/2, seed 3) at eps 1/5: the one class is refined into 3
+        # unbalanced classes, whose balance split has 12
+        trace = regularize(gnp(24, "1/2", 3), None, Fraction(1, 5), max_classes=11)
         assert trace.status == "class_budget_exceeded"
         assert [s.phase for s in trace.steps] == ["balance", "refine"]
-        assert len(trace.final) == 4
+        assert len(trace.final) == 3
         assert trace.final_report is None
 
     def test_budget_too_small_for_initial(self):

@@ -604,6 +604,31 @@ class TestPackedScan:
         assert all(args == (packs, bits) for args in seen)
 
 
+SEARCH_EPS = tuple(map(Fraction, ("1/8", "1/5", "1/4", "1/3", "1/2")))
+
+
+def degree_deviation_candidates(g, i, j, eps):
+    """The (X, Y, d(I,J)) that the heuristic tried before it took the kernel's Y rule.
+
+    X+ (X-) holds the vertices of I whose density into J lies above (below)
+    d(I,J) by more than eps/2; each X was paired with the members of J whose
+    density into X deviates the same way, then with J itself.
+    """
+    d_ij = density(g, i, j)
+    for sign in (1, -1):
+
+        def beyond(d):
+            return sign * (d - d_ij) > eps / 2
+
+        xs = [u for u in i.members() if beyond(density(g, VertexSet.from_iterable([u], g.n), j))]
+        if not xs:
+            continue
+        x = VertexSet.from_iterable(xs, g.n)
+        co = [v for v in j.members() if beyond(density(g, x, VertexSet.from_iterable([v], g.n)))]
+        for y in ([VertexSet.from_iterable(co, g.n)] if co else []) + [j]:
+            yield x, y, d_ij
+
+
 class TestHeuristic:
     def planted_pair(self):
         # half of I completely joined to J, other half isolated
@@ -622,9 +647,9 @@ class TestHeuristic:
 
     def test_falls_back_to_all_of_j(self):
         # X = {0..4} is joined to all of {16..19} and each of 20..31 to one
-        # vertex of X. At eps = 1/4 the co-neighborhood {16..19} is too small
-        # (4 <= 16/4), so (X, J) is the witness, its density 32/80 taken from
-        # the same counts of J into X
+        # vertex of X. At eps = 1/4, d(X, J) = 32/80 already exceeds
+        # d(I,J) + eps = 3/8, so J itself is the widest violating Y: the
+        # witness is (X, J), its density taken from the counts of J into X
         edges = [(u, v) for u in range(5) for v in range(16, 20)]
         edges += [(v % 5, v) for v in range(20, 32)]
         g = Graph.from_edges(32, edges)
@@ -667,8 +692,8 @@ class TestHeuristic:
     def test_witnesses_pinned(self):
         # SHA-256 of the classifications of 50 seeded pairs of 14 to 40
         # vertices a side, each with a planted set of I whose edge
-        # probability into J is shifted: pins which candidate wins, in
-        # which order, and the densities it reports
+        # probability into J is shifted: pins which of X+ and X- wins, the
+        # Y that the kernel's rule takes for it, and the densities reported
         rng = random.Random(2024)
         results = []
         for _ in range(50):
@@ -689,9 +714,60 @@ class TestHeuristic:
             g = Graph.from_edges(n, edges)
             i, j = VertexSet.from_iterable(i, n), VertexSet.from_iterable(j, n)
             results.append(plain(find_witness_heuristic(g, i, j, eps)))
-        assert sum(r["kind"] == IRREGULAR_WITNESSED for r in results) == 26
+        assert sum(r["kind"] == IRREGULAR_WITNESSED for r in results) == 27
         digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
-        assert digest == "bd533fbe633171474d98ac842387c9f64e1ae5dc47da9f76b0339c2ae07811f7"
+        assert digest == "ac065c2d0b30dfbf47a96ffeef26a462e620cbba2aa8b66841ba2ffacdb589e5"
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs_at_density(max_n=56, max_side=40), st.sampled_from(SEARCH_EPS))
+    def test_witnesses_wherever_the_degree_candidates_did(self, pair, eps):
+        # pairs on both sides of EXHAUSTIVE_CUTOFF, a quarter of them diagonal
+        g, i, j = pair
+        clf = find_witness_heuristic(g, i, j, eps)
+        if clf.is_irregular:
+            validate_witness(g, i, j, eps, clf.witness)
+        for x, y, d_ij in degree_deviation_candidates(g, i, j, eps):
+            try:
+                validate_witness(g, i, j, eps, PairWitness(x, y, density(g, x, y), d_ij))
+            except InvalidWitnessError:
+                continue
+            assert clf.is_irregular
+            break
+
+
+class TestWidestViolation:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs_at_density(max_n=24, max_side=12), st.sampled_from(SEARCH_EPS), st.data())
+    def test_matches_every_y(self, pair, eps, data):
+        g, i, j = pair
+        sizes = regularity._min_sizes(eps, i.size, j.size)
+        assume(sizes is not None)
+        lo_x, lo_y = sizes
+        rng = data.draw(st.randoms(use_true_random=False))
+        x = VertexSet.from_iterable(
+            rng.sample(i.members(), rng.randint(lo_x, i.size)), g.n
+        )
+        d_ij = density(g, i, j)
+        members_j = j.members()
+        # the gap of every Y of at least lo_y members, by size
+        gaps = {}
+        for sy in range(lo_y, j.size + 1):
+            for ys in combinations(members_j, sy):
+                y = VertexSet.from_iterable(ys, g.n)
+                gaps.setdefault(sy, []).append(abs(density(g, x, y) - d_ij))
+        violating = [sy for sy, gs in gaps.items() if max(gs) > eps]
+
+        counts = [(g.rows[v] & x.mask).bit_count() for v in members_j]
+        e_ij = adjacent_pair_count(g, i, j)
+        clf = regularity._widest_violation(g, i, j, x.mask, counts, e_ij, lo_y, eps)
+        if not violating:
+            assert clf is None
+            return
+        w = clf.witness
+        assert clf.kind == IRREGULAR_WITNESSED and w.x == x
+        assert w.y.size == max(violating)
+        assert abs(w.d_xy - w.d_ij) == max(gaps[w.y.size])
+        validate_witness(g, i, j, eps, w)
 
 
 class TestClassifyPair:
