@@ -10,7 +10,11 @@ falls; the same holds with X and Y swapped. A violation at any sizes therefore
 implies one at the minimum sizes, and checking those alone is a complete proof
 of regularity. Since d(X, Y) = d(Y, X), the exhaustive kernel enumerates the
 smaller side, I on a tie. Its witness takes the first violating X of that side
-met by size descending, lexicographic within a size. For a fixed X, both tiers
+met by size descending, lexicographic within a size. It ranks the counts of
+an X only when the edge total e(X, J) lies outside a window, fixed per size,
+where no Y can violate: that total, and |X| as the cap on each count, bound
+the sums of the top and bottom counts, so every X skipped is one that does
+not violate, and the first violating X is the same. For a fixed X, both tiers
 take Y by one rule: the set of the other side farthest from d(I,J) among those
 of the largest violating size. The witness is built once, already oriented:
 found from J's side, its two sets are swapped back, so X stays in I and Y in
@@ -177,22 +181,38 @@ def _packed_rows(cols, members):
     return [int.from_bytes(digits[last - u :: step], "little") - zero for u in members]
 
 
-def _first_violating_x(packs, bits, sx, width, lo_y, hi, lo, den):
+def _first_violating_x(packs, bits, degrees, sx, width, lo_y, hi, lo, den):
     """Mask of the lexicographically first X of sx of the bits that violates.
 
     packs[k] is the packed row of the vertex bits[k] into J: byte t of it
     is 1 when that vertex is adjacent to member t of J, so the int is width
-    = |J| bytes long. The sum of the packs of X holds, byte by byte, the
-    count of each member of J into X; a count is at most sx < 256, so none
-    carries into the next byte. X violates when e, its edges to the lo_y
-    members of J with the most (or the fewest) edges into X, has
-    e den > hi sx lo_y (or e den < lo sx lo_y). The combinations of the
-    packs and of the bits run in the same order, so X's mask is summed
-    only for the X that violates. None when no X does.
+    = |J| bytes long, and degrees[k] is the sum of its bytes. The sum of the
+    packs of X holds, byte by byte, the count of each member of J into X; a
+    count is at most sx < 256, so none carries into the next byte. X
+    violates when e, its edges to the lo_y members of J with the most (or
+    the fewest) edges into X, has e den > hi sx lo_y (or e den < lo sx lo_y).
+
+    X's edge total T, the sum of its degrees, bounds both sums before any
+    sort: each count is at most sx and the counts sum to T, so the top lo_y
+    sum to at most min(T, sx lo_y), and the bottom lo_y to at least
+    max(0, T - sx (width - lo_y)). The X with T in [t_lo, t_hi] meet both
+    tests through these bounds alone, so they are skipped: the first
+    violating X is the same. The combinations of the packs, the bits and
+    the degrees run in the same order, so X's mask is summed only for the
+    X that violates. None when no X does.
     """
     cut = width - lo_y
     top, bottom = hi * sx * lo_y, lo * sx * lo_y
-    for xs, x_bits in zip(combinations(packs, sx), combinations(bits, sx)):
+    # min(T, sx lo_y) den <= top for every T when hi >= den, else for T <= top/den
+    t_hi = top // den if hi < den else sx * width
+    # max(0, T - sx cut) den >= bottom for every T when lo <= 0, else for
+    # T >= sx cut + bottom/den, rounded up
+    t_lo = sx * cut - (-bottom // den) if lo > 0 else 0
+    for xs, x_bits, x_degrees in zip(
+        combinations(packs, sx), combinations(bits, sx), combinations(degrees, sx)
+    ):
+        if t_lo <= sum(x_degrees) <= t_hi:
+            continue
         ranked = sorted(sum(xs).to_bytes(width, "little"))
         if sum(ranked[cut:]) * den > top or sum(ranked[:lo_y]) * den < bottom:
             return sum(x_bits)
@@ -277,14 +297,17 @@ def check_pair_exhaustive(g, i, j, eps):
     where u is adjacent to it, so that the bytes of the sum of X's packs are
     the per-vertex counts into X (_packed_rows, _first_violating_x). A
     scanned X has at most |I| - 1 < EXHAUSTIVE_CUTOFF // 2 members, so no
-    count reaches 256 and none carries into the next byte. It scans size
-    lo_x in lexicographic order, and if no X there violates, the pair is
-    RegularCertified. Else it climbs one size at a time, keeps each size's
-    first violating X and stops at the first size with none. The witness's
-    X is the first one a walk over X by size descending, lexicographic
-    within a size, meets: the first violating X of size s*. Both tests of an
-    X and its witness's Y go through one rule, _widest_violation, which the
-    heuristic tier shares.
+    count reaches 256 and none carries into the next byte. The degrees of
+    I's members into J, the byte sums of their packs, give each X its edge
+    total e(X, J), and the scan skips, unsorted, every X whose total lies
+    in a window, fixed per size, where it alone proves that no Y violates.
+    It scans size lo_x in lexicographic order, and if no X there violates,
+    the pair is RegularCertified. Else it climbs one size at a time, keeps
+    each size's first violating X and stops at the first size with none.
+    The witness's X is the first one a walk over X by size descending,
+    lexicographic within a size, meets: the first violating X of size s*.
+    Both tests of an X and its witness's Y go through one rule,
+    _widest_violation, which the heuristic tier shares.
     Two spaces are exhausted before any edge is counted: an empty one, and
     the one-candidate space in which eps|I| < |X| forces X = I and
     eps|J| < |Y| forces Y = J, whose gap |d(I,J) - d(I,J)| is 0.
@@ -319,9 +342,12 @@ def check_pair_exhaustive(g, i, j, eps):
     members_i = i.members()
     bits_i = [1 << u for u in members_i]
     packs = _packed_rows(cols, members_i)
+    degrees = [(g.rows[u] & j.mask).bit_count() for u in members_i]
     x_mask = None
     for size in range(lo_x, i.size):
-        found = _first_violating_x(packs, bits_i, size, len(cols), lo_y, hi, lo, den)
+        found = _first_violating_x(
+            packs, bits_i, degrees, size, len(cols), lo_y, hi, lo, den
+        )
         if found is None:
             break
         sx, x_mask = size, found

@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import regpart
-from regpart import Graph, Partition, VertexSet, adjacent_pair_count
+from regpart import Graph, Partition, VertexSet, adjacent_pair_count, regularity
 from regpart.regularity import _count_certifies, _min_sizes
 
 EDGE_PROBS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -101,6 +101,35 @@ def count_test_holds(g, i, j, eps):
     sizes = _min_sizes(eps, i.size, j.size)
     e = adjacent_pair_count(g, i, j)
     return sizes is not None and _count_certifies(e, i.size * j.size, *sizes, eps)
+
+
+def record_scans(monkeypatch):
+    """Log each later call of the exhaustive kernel's size scan, _first_violating_x.
+
+    Returns the list that each call appends (mask, ranked) to: the mask the
+    scan returned, and the sorted counts of each X that reached its sort,
+    in scan order. An X skipped by its edge total is ranked by no sort.
+    """
+    scans = []
+    scan = regularity._first_violating_x
+
+    def spy(*args):
+        ranked = []
+
+        def recording_sorted(counts):
+            ranked.append(sorted(counts))
+            return ranked[-1]
+
+        regularity.sorted = recording_sorted  # shadows the builtin in the scan
+        try:
+            mask = scan(*args)
+        finally:
+            del regularity.sorted
+        scans.append((mask, ranked))
+        return mask
+
+    monkeypatch.setattr(regularity, "_first_violating_x", spy)
+    return scans
 
 
 SRC = Path(regpart.__file__).resolve().parents[1]

@@ -15,6 +15,7 @@ from conftest import (
     random_graph,
     random_partition,
     random_refinement,
+    record_scans,
 )
 import regpart
 from regpart import (
@@ -30,6 +31,7 @@ from regpart import (
     energy,
     validate_witness,
 )
+from regpart.generate import gnp
 from regpart.oracle import (
     MAX_BRUTE_SIDE,
     DenseMatrix,
@@ -235,6 +237,28 @@ class TestBruteForcePairCheck:
         g, i, j = pair
         assume(count_test_holds(g, i, j, eps))
         assert brute_force_pair_check(g, i, j, eps).kind == "regular_certified"
+
+    @pytest.mark.parametrize(
+        "eps, kind",
+        [(Fraction(1, 4), "irregular_witnessed"), (Fraction(1, 3), "regular_certified")],
+    )
+    @pytest.mark.parametrize("p", [Fraction(1, 20), Fraction(19, 20)])
+    def test_edge_total_skip_agrees(self, p, eps, kind, monkeypatch):
+        # the 7+7 pair of gnp(14, p, seed=2) has 2 edges at p = 1/20 and 47
+        # at 19/20: the kernel climbs to a witness at eps 1/4 and certifies
+        # at eps 1/3, and either way its last size scan walks every X of its
+        # size and ranks none, since each X's edge total lies in the window
+        g = gnp(14, p, seed=2)
+        i = VertexSet.from_iterable(range(7), 14)
+        j = VertexSet.from_iterable(range(7, 14), 14)
+        scans = record_scans(monkeypatch)
+        fast = check_pair_exhaustive(g, i, j, eps)
+        assert scans[-1] == (None, [])
+        slow = brute_force_pair_check(g, i, j, eps)
+        assert fast.kind == slow.kind == kind
+        for clf in (fast, slow):
+            if clf.witness is not None:
+                validate_witness(g, i, j, eps, clf.witness)
 
     def test_single_edge_agrees(self):
         g = Graph.from_edges(4, [(0, 2)])

@@ -5,6 +5,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from conftest import (
     pairs_at_density,
     random_graph,
     random_partition,
+    record_scans,
 )
 from regpart import (
     EmptySetError,
@@ -539,6 +541,33 @@ def popcount_first_violating_x(cols, bits, sx, lo_y, hi, lo, den):
     return None
 
 
+def scan_inputs(g, i, j, eps):
+    """The exhaustive kernel's scan inputs for a pair, built without its code.
+
+    None when the sizes decide the pair. Else i is the enumerated side (the
+    smaller, the given I on a tie) and j the other; cols are the columns of
+    J restricted to I; bits, packs and degrees hold, per member u of I, its
+    bit, its packed row (byte t is 1 when u is adjacent to the t-th member
+    of J) and its degree into J; band is (lo_y, hi, lo, den).
+    """
+    if i.size > j.size:
+        i, j = j, i
+    sizes = regularity._min_sizes(eps, i.size, j.size)
+    if sizes is None:
+        return None
+    mi, mj = i.members(), j.members()
+    return SimpleNamespace(
+        i=i,
+        j=j,
+        lo_x=sizes[0],
+        cols=[g.rows[v] & i.mask for v in mj],
+        bits=[1 << u for u in mi],
+        packs=[sum(1 << 8 * t for t, v in enumerate(mj) if g.has_edge(u, v)) for u in mi],
+        degrees=[sum(g.has_edge(u, v) for v in mj) for u in mi],
+        band=(sizes[1], *regularity._band(adjacent_pair_count(g, i, j), i.size * j.size, eps)),
+    )
+
+
 @st.composite
 def wide_pairs(draw, a, b):
     """A graph with an a+b class pair, either side first, or with a diagonal
@@ -567,41 +596,116 @@ class TestPackedScan:
     def test_same_mask_as_popcounts_at_every_size(self, a, b, eps, data):
         # pairs at the exhaustive limit, past the reach of reference_exhaustive
         g, given_i, given_j = data.draw(wide_pairs(a, b))
-        # the kernel enumerates the smaller side, the given I on a tie
-        i, j = given_i, given_j
-        if i.size > j.size:
-            i, j = j, i
-        sizes = regularity._min_sizes(eps, i.size, j.size)
-        if sizes is None:
+        s = scan_inputs(g, given_i, given_j, eps)
+        if s is None:
             return
-        lo_x, lo_y = sizes
-        mi, mj = i.members(), j.members()
-        cols = [g.rows[v] & i.mask for v in mj]
-        hi, lo, den = regularity._band(
-            adjacent_pair_count(g, i, j), i.size * j.size, eps
-        )
-        bits = [1 << u for u in mi]
-        # byte t of u's pack is 1 when u is adjacent to the t-th member of J
-        packs = [
-            sum(1 << 8 * t for t, v in enumerate(mj) if g.has_edge(u, v)) for u in mi
-        ]
-        for sx in range(lo_x, i.size):
-            band = (lo_y, hi, lo, den)
-            packed = regularity._first_violating_x(packs, bits, sx, j.size, *band)
-            assert packed == popcount_first_violating_x(cols, bits, sx, *band)
+        for sx in range(s.lo_x, s.i.size):
+            packed = regularity._first_violating_x(
+                s.packs, s.bits, s.degrees, sx, s.j.size, *s.band
+            )
+            assert packed == popcount_first_violating_x(s.cols, s.bits, sx, *s.band)
 
-        # the kernel packs the same rows whenever it reaches the scan
+        # the kernel packs the same rows whenever it reaches the scan, and
+        # passes as degrees the byte sums of the packs
         seen = []
         scan = regularity._first_violating_x
 
         def spy(*args):
-            seen.append(args[:2])
+            seen.append(args[:3])
             return scan(*args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regularity, "_first_violating_x", spy)
             check_pair_exhaustive(g, given_i, given_j, eps)
-        assert all(args == (packs, bits) for args in seen)
+        for packs, bits, degrees in seen:
+            assert (packs, bits) == (s.packs, s.bits)
+            assert degrees == [sum(p.to_bytes(s.j.size, "little")) for p in packs]
+
+
+def ranked_without_skip_rule(cols, bits, sx, lo_y, hi, lo, den):
+    """The counts into each X that the scan must rank, in scan order, and the X walked.
+
+    Walks X as popcount_first_violating_x does, up to the first violating
+    X, and skips an X exactly when its edge total T meets both tests
+    through its bounds: min(T, sx lo_y) den <= hi sx lo_y and
+    max(0, T - sx (|J| - lo_y)) den >= lo sx lo_y.
+    """
+    cut = len(cols) - lo_y
+    top, bottom = hi * sx * lo_y, lo * sx * lo_y
+    ranked, walked = [], 0
+    for xs in combinations(bits, sx):
+        walked += 1
+        x_mask = sum(xs)
+        counts = [(col & x_mask).bit_count() for col in cols]
+        t = sum(counts)
+        if min(t, sx * lo_y) * den <= top and max(0, t - sx * cut) * den >= bottom:
+            continue
+        ranked.append(sorted(counts))
+        if sum(ranked[-1][cut:]) * den > top or sum(ranked[-1][:lo_y]) * den < bottom:
+            break
+    return ranked, walked
+
+
+class TestEdgeTotalSkip:
+    def test_skips_only_x_that_cannot_violate(self):
+        # sparse and dense pairs, where the window of edge totals is wide, a
+        # quarter of them diagonal
+        skipped = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(pairs_at_density(max_n=26, max_side=13), st.sampled_from(PAIR_EPS))
+        def same_scan_as_without_skip(pair, eps):
+            s = scan_inputs(*pair, eps)
+            if s is None:
+                return
+            for sx in range(s.lo_x, s.i.size):
+                with pytest.MonkeyPatch.context() as mp:
+                    scans = record_scans(mp)
+                    regularity._first_violating_x(
+                        s.packs, s.bits, s.degrees, sx, s.j.size, *s.band
+                    )
+                [(mask, ranked)] = scans
+                assert mask == popcount_first_violating_x(s.cols, s.bits, sx, *s.band)
+                expected, walked = ranked_without_skip_rule(s.cols, s.bits, sx, *s.band)
+                assert ranked == expected
+                skipped.append(walked - len(ranked))
+
+        same_scan_as_without_skip()
+        assert sum(skipped) > 0
+
+    def test_window_edges(self):
+        third = Fraction(1, 3)
+        # 4+6 at eps 1/3: lo_x = 2 and lo_y = 3. Vertex 0 of I is joined to
+        # the first e members of J, so an X of 2 that holds it has T = e, all
+        # in its top 3 counts, and any other X has T = 0. t_hi is
+        # floor(2 * 3 * (e/24 + 1/3)): 2 at e = 2, where X = {0, 1} is
+        # skipped and does not violate, and still 2 at e = 3, where it is
+        # ranked and violates (3/6 > 1/8 + 1/3)
+        for e, violates in ((2, False), (3, True)):
+            g, i, j = first_edges(e, 4, 6)
+            self.assert_first_x_at_edge(g, i, j, third, violates)
+        # the complement: vertex 0 misses the first k members of J, so an X
+        # that holds it has T = 12 - k, and its bottom 3 counts sum to
+        # 6 - k = T - 2 * 3. t_lo is 2 * 3 + ceil(2 * 3 * (1 - k/24 - 1/3)):
+        # 10 at k = 2, where T = 10 is skipped, and 10 at k = 3, where T = 9
+        # is ranked and violates (3/6 < 7/8 - 1/3)
+        for k, violates in ((2, False), (3, True)):
+            g, i, j = first_edges(k, 4, 6)
+            g = Graph.from_edges(10, [(u, v) for u in i for v in j if not g.has_edge(u, v)])
+            self.assert_first_x_at_edge(g, i, j, third, violates)
+
+    @staticmethod
+    def assert_first_x_at_edge(g, i, j, eps, violates):
+        s = scan_inputs(g, i, j, eps)
+        assert (s.lo_x, s.band[0]) == (2, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            scans = record_scans(mp)
+            clf = check_pair_exhaustive(g, i, j, eps)
+        # the scan at |X| = 2 ranks only X = {0, 1}, and only past the edge
+        (mask, ranked), *_ = scans
+        assert mask == (0b11 if violates else None)
+        assert ranked == ([sorted((g.rows[v] & 0b11).bit_count() for v in j)] if violates else [])
+        assert clf.is_irregular is violates
 
 
 SEARCH_EPS = tuple(map(Fraction, ("1/8", "1/5", "1/4", "1/3", "1/2")))
